@@ -751,13 +751,20 @@ def _sweep_interval(l: Loop, depth: int) -> SlopeSet:
 
 
 def _refine_endpoint(l: Loop, out: Slope, inside: Slope, depth: int) -> Slope:
+    # 1/0 is also -1/0: next to a negative slope it is taken as -1/0, so that
+    # the mediants stay on the side of infinity where the two slopes meet
+    o, i = (out.p, out.q), (inside.p, inside.q)
+    if out.is_infinite and inside.p < 0:
+        o = (-1, 0)
+    if inside.is_infinite and out.p < 0:
+        i = (-1, 0)
     for _ in range(depth):
-        med = Slope(out.p + inside.p, out.q + inside.q)
-        if is_lspace_slope(l, med):
-            inside = med
+        med = (o[0] + i[0], o[1] + i[1])
+        if is_lspace_slope(l, Slope(*med)):
+            i = med
         else:
-            out = med
-    return inside
+            o = med
+    return Slope(*i)
 
 
 def _sort_cyclic(slopes: List[Slope]) -> List[Slope]:

@@ -113,15 +113,18 @@ def label_path_trie(g: DecoratedGraph) -> _Trie:
         if label is not IDENT:
             outs[s].append((t, label))
     trie = _Trie()
-
-    def dfs(v: Hashable, node: _Trie) -> None:
-        for t, lab in outs[v]:
-            child = node.children.setdefault(lab, _Trie())
-            child.accept = True
-            dfs(t, child)
-
     for v in g.vertices:
-        dfs(v, trie)
+        # depth-first, with an explicit stack: paths run to hundreds of edges
+        stack = [(trie, iter(outs[v]))]
+        while stack:
+            node, edges = stack[-1]
+            for t, lab in edges:
+                child = node.children.setdefault(lab, _Trie())
+                child.accept = True
+                stack.append((child, iter(outs[t])))
+                break
+            else:
+                stack.pop()
     return trie
 
 
@@ -229,35 +232,35 @@ def _find_directed_cycle(g: DecoratedGraph) -> List[int]:
     outs: Dict[Hashable, List[int]] = {v: [] for v in g.vertices}
     for i, (s, _, _) in enumerate(g.edges):
         outs[s].append(i)
-    color: Dict[Hashable, int] = {}
+    color: Dict[Hashable, int] = {}  # 1 while on the stack, 2 when finished
     parent_edge: Dict[Hashable, int] = {}
-
-    def dfs(v) -> Optional[List[int]]:
-        color[v] = 1
-        for ei in outs[v]:
-            t = g.edges[ei][1]
-            if color.get(t, 0) == 1:
-                cycle = [ei]
-                u = v
-                while u != t:
-                    pe = parent_edge[u]
-                    cycle.append(pe)
-                    u = g.edges[pe][0]
-                cycle.reverse()
-                return cycle
-            if color.get(t, 0) == 0:
-                parent_edge[t] = ei
-                found = dfs(t)
-                if found:
-                    return found
-        color[v] = 2
-        return None
-
-    for v in sorted(g.vertices):
-        if color.get(v, 0) == 0:
-            found = dfs(v)
-            if found:
-                return found
+    for root in sorted(g.vertices):
+        if color.get(root, 0):
+            continue
+        color[root] = 1
+        # depth-first, with an explicit stack: cycles run to hundreds of edges
+        stack = [(root, iter(outs[root]))]
+        while stack:
+            v, edges = stack[-1]
+            for ei in edges:
+                t = g.edges[ei][1]
+                if color.get(t, 0) == 1:
+                    cycle = [ei]
+                    u = v
+                    while u != t:
+                        pe = parent_edge[u]
+                        cycle.append(pe)
+                        u = g.edges[pe][0]
+                    cycle.reverse()
+                    return cycle
+                if color.get(t, 0) == 0:
+                    parent_edge[t] = ei
+                    color[t] = 1
+                    stack.append((t, iter(outs[t])))
+                    break
+            else:
+                color[v] = 2
+                stack.pop()
     raise GraphError("no directed cycle")
 
 

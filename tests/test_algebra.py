@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from loopfloer.algebra import (
     ChainComplexF2,
@@ -14,6 +16,7 @@ from loopfloer.algebra import (
     is_lspace_complex,
     left_idem,
     multiply,
+    _gf2_rank,
     reduce_graph,
     right_idem,
 )
@@ -178,3 +181,129 @@ def test_differential_must_flip_grading():
     c = ChainComplexF2([("x", 0, 0), ("y", 0, 0)], {("x", "y")})
     with pytest.raises(GraphError):
         c.check()
+
+
+# dense pure-Python reference for the sparse F2 core: d^2 by matrix product,
+# ranks by row reduction of 0/1 lists
+
+
+def _reference_fault(c):
+    grs = {gid: g for gid, g, _ in c.generators}
+    comps = {gid: k for gid, _, k in c.generators}
+    if any(grs[s] == grs[t] or comps[s] != comps[t] for s, t in c.differential):
+        return True
+    index = {gid: i for i, (gid, _, _) in enumerate(c.generators)}
+    n = len(index)
+    d = [[0] * n for _ in range(n)]
+    for s, t in c.differential:
+        d[index[t]][index[s]] = 1
+    return any(
+        sum(d[i][k] * d[k][j] for k in range(n)) % 2 for i in range(n) for j in range(n)
+    )
+
+
+def _reference_rank(rows):
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_homology(c):
+    per = {}
+    for comp in dict.fromkeys(k for _, _, k in c.generators):
+        zeros = [gid for gid, g, k in c.generators if k == comp and g == 0]
+        ones = [gid for gid, g, k in c.generators if k == comp and g == 1]
+        r0 = _reference_rank([[int((s, t) in c.differential) for s in zeros] for t in ones])
+        r1 = _reference_rank([[int((s, t) in c.differential) for s in ones] for t in zeros])
+        h0, h1 = len(zeros) - r0 - r1, len(ones) - r0 - r1
+        per[comp] = (h0 + h1, h0, h1, len(zeros) - len(ones))
+    return per
+
+
+def _generators(draw):
+    n = draw(st.integers(1, 8))
+    return [(i, draw(st.integers(0, 1)), draw(st.integers(0, 1))) for i in range(n)]
+
+
+@st.composite
+def raw_complexes(draw):
+    """Small complexes over at most two components.  Most pairs of the
+    differential flip the grading within a component, so d^2 may or may not
+    vanish; up to two arbitrary pairs may break the flip or cross components."""
+    gens = _generators(draw)
+    n = len(gens)
+    allowed = [
+        (s, t)
+        for (s, gs, ks), (t, gt, kt) in itertools.product(gens, repeat=2)
+        if gs != gt and ks == kt
+    ]
+    diff = set()
+    if allowed:
+        diff = draw(st.sets(st.sampled_from(allowed), max_size=2 * n))
+    ids = st.integers(0, n - 1)
+    diff |= draw(st.sets(st.tuples(ids, ids), max_size=2))
+    return ChainComplexF2(gens, diff)
+
+
+@st.composite
+def closed_complexes(draw):
+    """Complexes with d^2 = 0: cancelling pairs and free generators, in a
+    basis changed by elementary moves that keep gradings and components."""
+    gens = _generators(draw)
+    n = len(gens)
+    d = [[0] * n for _ in range(n)]  # d[t][s]: s -> t
+    free = set(range(n))
+    for s, gs, ks in gens:
+        partners = [t for t, gt, kt in gens if t in free and gt != gs and kt == ks]
+        if s in free and partners and draw(st.booleans()):
+            t = draw(st.sampled_from(partners))
+            d[t][s] = 1
+            free -= {s, t}
+    moves = [(i, j) for i, j in itertools.permutations(range(n), 2) if gens[i][1:] == gens[j][1:]]
+    if moves:
+        for i, j in draw(st.lists(st.sampled_from(moves), max_size=3 * n)):
+            # conjugate by E = 1 + e_ij, its own inverse over F2
+            d[i] = [a ^ b for a, b in zip(d[i], d[j])]
+            for row in d:
+                row[j] ^= row[i]
+    diff = {(s, t) for t in range(n) for s in range(n) if d[t][s]}
+    return ChainComplexF2(gens, diff)
+
+
+@given(st.one_of(raw_complexes(), closed_complexes()))
+@settings(max_examples=300, deadline=None)
+def test_check_raises_exactly_on_a_reference_fault(c):
+    if _reference_fault(c):
+        with pytest.raises(GraphError):
+            c.check()
+    else:
+        c.check()
+
+
+@given(closed_complexes())
+@settings(max_examples=300, deadline=None)
+def test_homology_matches_dense_reference(c):
+    assert not _reference_fault(c)
+    want = _reference_homology(c)
+    got = homology(c)
+    assert got.per_component == want
+    assert got.total == sum(dim for dim, _, _, _ in want.values())
+    assert got.by_grading == (
+        sum(h0 for _, h0, _, _ in want.values()),
+        sum(h1 for _, _, h1, _ in want.values()),
+    )
+
+
+@given(st.lists(st.lists(st.integers(0, 1), min_size=12, max_size=12), max_size=16))
+def test_gf2_rank_matches_dense_reference(rows):
+    bitsets = [sum(b << i for i, b in enumerate(r)) for r in rows]
+    assert _gf2_rank(bitsets) == _reference_rank(rows)

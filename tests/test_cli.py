@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import loopfloer
 from loopfloer.cli import run
 
 POINCARE = "v 0 -1\nv 1 -2\nv 2 -3\nv 3 -5\ne 0 1\ne 0 2\ne 0 3\n"
@@ -122,3 +126,10 @@ def test_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("LOOPFLOER_THREADS", "2")
     code, out, _ = invoke(capsys, "census", "--family", "nt", "--range", "2..4")
     assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_runtime_does_not_import_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loopfloer.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import loopfloer, loopfloer.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)

@@ -304,6 +304,25 @@ def test_interval_membership_matches_oracle():
             )
 
 
+def test_sweep_endpoint_next_to_infinity():
+    # the arc runs from -3 up through the positive slopes to 1/0; refining
+    # the end between 1/0 and the grid's last negative slope must take
+    # mediants with -1/0, not 1/0
+    loop = Loop.from_text("a-3 b1 c-3")
+    iv = lspace_interval(loop)
+    assert (iv.kind, iv.a, iv.b) == ("closed_arc", s("-3"), INFINITY)
+    assert str(iv).startswith("closed-arc -3 1/0")
+
+
+def test_sweep_interval_matches_oracle_on_grid():
+    from loopfloer import fill_oracle
+
+    loop = Loop.from_text("a-3 b1 c-3")
+    iv = lspace_interval(loop)
+    for slope in stern_brocot_slopes(6):
+        assert iv.contains(slope) == fill_oracle(loop, slope).is_lspace, str(slope)
+
+
 def test_sweep_fallback_matches_exact():
     tre = Loop.from_text("a1 b1 c-2")
     from loopfloer.detection import _sweep_interval

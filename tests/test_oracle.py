@@ -1,7 +1,10 @@
 import random
+import sys
+import time
 
 from loopfloer import (
     Loop,
+    Slope,
     fill,
     fill_oracle,
     make_bounded,
@@ -128,6 +131,37 @@ def test_fill_oracle_agrees_with_fast_path(corpus):
                 slow.chi_abs,
                 slow.is_lspace,
             ), (str(loop), str(s))
+
+
+def test_fill_oracle_on_long_reparametrizations():
+    # these reparametrize to 715 and 844 letters: the graph walks of the
+    # oracle must not recurse once per edge
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for text, slope in (
+            ("c-3 c-2 c-2", Slope(89, 64)),
+            ("a-2 d-3 d-2 e d1 b-3", Slope(-31, 80)),
+        ):
+            loop = Loop.from_text(text)
+            assert fill_oracle(loop, slope) == fill(loop, slope), (text, str(slope))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_seifert_237_self_pairing():
+    from loopfloer import cfd, seifert_tree
+
+    loops = cfd(seifert_tree(-1, [(2, 1), (3, 1), (7, 1)]))
+    assert sum(len(l) for l in loops) == 42
+    t0 = time.perf_counter()
+    cpx = pair_complex(loops, loops)
+    h = homology(cpx)
+    elapsed = time.perf_counter() - t0
+    assert len(cpx.generators) == 2293
+    assert (h.total, h.by_grading) == (1765, (1, 1764))
+    # a dense d^2 check took 27 s here
+    assert elapsed < 5.0
 
 
 _SPLIT_RULES = {"12": ("1", "2", "1"), "123": ("1", "23", "1"), "23": ("2", "3", "0")}

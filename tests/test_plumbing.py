@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -21,7 +22,7 @@ from loopfloer import (
 )
 from loopfloer.detection import is_simple, solid_torus_like
 from loopfloer.plumbing import PipelineError, TreeError, format_tree, gamma_n_tree
-from conftest import all_good_closed_tree, random_good_bounded_tree
+from conftest import all_good_closed_tree, bareiss_det, random_good_bounded_tree
 
 POINCARE = """
 # the four-vertex star with weights -1; -2 -3 -5
@@ -324,3 +325,17 @@ def test_staircase_loop_calibration():
     assert is_simple(loop) == "yes"
     with pytest.raises(ValueError):
         staircase_loop([1], 0, 0)
+
+
+def test_bareiss_det_matches_permutation_expansion():
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            m[1] = [2 * x for x in m[0]]
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+            want += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+        assert bareiss_det(m) == want, m
