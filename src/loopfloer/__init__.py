@@ -26,9 +26,7 @@ from .loops import (
     Loop,
     LoopWord,
     WordError,
-    assign_grading,
     canonicalize,
-    dualize,
     euler_chars,
     format_loops,
     format_word,

@@ -163,43 +163,32 @@ class DecoratedGraph:
                         stack.append(w)
         return gr
 
-    def has_directed_cycle(self) -> bool:
-        indeg = {v: 0 for v in self.vertices}
+    def _topological_order(self):
+        """Kahn's order and the out-lists; the order leaves out every vertex
+        on or after a directed cycle."""
+        indeg = dict.fromkeys(self.vertices, 0)
         outs: Dict[Hashable, List[Hashable]] = {v: [] for v in self.vertices}
         for s, t, _ in self.edges:
             outs[s].append(t)
             indeg[t] += 1
-        queue = [v for v, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
+        order = [v for v, d in indeg.items() if d == 0]
+        for v in order:  # grows while it is walked
             for t in outs[v]:
                 indeg[t] -= 1
                 if indeg[t] == 0:
-                    queue.append(t)
-        return seen != len(self.vertices)
+                    order.append(t)
+        return order, outs
+
+    def has_directed_cycle(self) -> bool:
+        return len(self._topological_order()[0]) != len(self.vertices)
 
     def longest_path_edges(self) -> int:
         """Length (in edges) of the longest directed path; requires acyclic."""
-        if self.has_directed_cycle():
+        order, outs = self._topological_order()
+        if len(order) != len(self.vertices):
             raise GraphError("graph has a directed cycle")
-        outs: Dict[Hashable, List[Hashable]] = {v: [] for v in self.vertices}
-        indeg = {v: 0 for v in self.vertices}
-        for s, t, _ in self.edges:
-            outs[s].append(t)
-            indeg[t] += 1
-        topo: List[Hashable] = []
-        queue = [v for v, d in indeg.items() if d == 0]
-        while queue:
-            v = queue.pop()
-            topo.append(v)
-            for t in outs[v]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
         dist = {v: 0 for v in self.vertices}
-        for v in topo:
+        for v in order:
             for t in outs[v]:
                 dist[t] = max(dist[t], dist[v] + 1)
         return max(dist.values(), default=0)

@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
-from .detection import SlopeSet, lspace_interval
+from .detection import SlopeSet, lspace_interval, stern_brocot_slopes
 from .gluing import glue_is_lspace
-from .loops import Loop, WordError, dualize, format_loops, parse_loops
+from .loops import Loop, WordError, format_loops, parse_loops, rational_longitude
 from .oracle import fill_oracle, pair_is_lspace
 from .plumbing import (
     PipelineError,
@@ -88,13 +87,6 @@ def _filling_json(r: FillingResult) -> dict:
     }
 
 
-def _threads() -> int:
-    env = os.environ.get("LOOPFLOER_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _cmd_cfd(args) -> None:
     loops = cfd(_parse_tree_arg(args.tree))
     if args.oracle:
@@ -150,6 +142,14 @@ def _cmd_interval(args) -> None:
         s = lspace_interval(loops)
     except ValueError as err:
         raise DomainError(str(err)) from None
+    if args.oracle:
+        # membership must match the pairing at every slope of the depth-6
+        # grid and at the rational longitude of each loop
+        slopes = stern_brocot_slopes(6)
+        longitudes = {rational_longitude(l) for l in loops} - {None}
+        for slope in slopes + sorted(longitudes - set(slopes), key=str):
+            if s.contains(slope) != fill_oracle(loops, slope).is_lspace:
+                raise DomainError(f"oracle mismatch: {s} disagrees with the pairing at {slope}")
     _emit({"interval": _slope_set_json(s)}, str(s), args.format)
 
 
@@ -196,7 +196,10 @@ def _cmd_twist(args) -> None:
             continue
         if "^" in op:
             kind, _, power = op.partition("^")
-            n = int(power)
+            try:
+                n = int(power)
+            except ValueError:
+                raise DomainError(f"bad power in twist operation {op!r}") from None
         else:
             kind, n = op, 1
         if kind not in ("tw", "du"):
@@ -206,8 +209,6 @@ def _cmd_twist(args) -> None:
 
 
 def _census_row(t: int, oracle: bool):
-    from .loops import rational_longitude
-
     loops = cfd(n_t_tree(t))
     zero = Slope(0, 1)
     res = fill(loops, zero)
@@ -234,9 +235,7 @@ def _cmd_census(args) -> None:
         raise DomainError(f"bad range {args.range!r}") from None
     if lo_i < 2 or hi_i < lo_i:
         raise DomainError(f"bad range {args.range!r}")
-    ts = list(range(lo_i, hi_i + 1))
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(lambda t: _census_row(t, args.oracle), ts))
+    rows = [_census_row(t, args.oracle) for t in range(lo_i, hi_i + 1)]
     if args.format == "json":
         print(json.dumps({"family": args.family, "rows": rows}, sort_keys=True))
     else:

@@ -7,15 +7,18 @@ are stored with negative subscripts via the identifications
     c_{-j} = reverse of d_j,  d_{-j} = reverse of c_j,
 
 with d_0 written 'e' and c_0 its reverse (same with stars).  A loop is the
-equivalence class of a valid cyclic word under rotation and reversal; words
-convert to decorated graphs and back, and a loop with vertices in both
-idempotents has exactly one word in each alphabet up to that equivalence.
+equivalence class of a valid cyclic word under rotation and reversal; a loop
+with vertices in both idempotents has exactly one word in each alphabet up to
+that equivalence.  A step transducer converts between the alphabets and reads
+off the Euler characteristics letter by letter; words convert to decorated
+graphs and back only for the oracle and as the tests' reference.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import DecoratedGraph, GraphError, IDENT
@@ -153,13 +156,19 @@ class Loop:
 
     The canonical representative is the least standard-alphabet word when
     the loop has an i0 vertex, so words in either alphabet construct equal
-    Loops; all-e* loops keep their dual word.
+    Loops; all-e* loops keep their dual word.  The word in the other alphabet
+    and the Euler characteristics are computed once, on first use.
     """
 
     word: LoopWord
 
     def __post_init__(self):
-        object.__setattr__(self, "word", _canonical_loop_word(self.word))
+        w = self.word
+        if w.star:
+            std = _other_letters(w)
+            if std is not None:
+                w = LoopWord(std, validate=False)
+        object.__setattr__(self, "word", canonicalize(w))
 
     @staticmethod
     def from_letters(letters: Sequence[Letter]) -> "Loop":
@@ -181,6 +190,18 @@ class Loop:
     @property
     def star(self) -> bool:
         return self.word.star
+
+    @cached_property
+    def other_word(self) -> Optional[LoopWord]:
+        """Canonical word in the alphabet `word` does not use; None for
+        loops whose vertices all lie in one idempotent."""
+        other = _other_letters(self.word)
+        return None if other is None else canonicalize(LoopWord(other, validate=False))
+
+    @cached_property
+    def chi(self) -> Tuple[int, int]:
+        """(chi_bullet, chi_circle) with anchor 0 of `word` at grading 0."""
+        return _euler_chars(self.word)
 
 
 def _least_rotation(keys: Sequence) -> int:
@@ -213,19 +234,6 @@ def canonicalize(w: LoopWord) -> LoopWord:
         candidates.append(word.letters[k:] + word.letters[:k])
     best = min(candidates, key=_word_key)
     return LoopWord(best, validate=False)
-
-
-def _canonical_loop_word(w: LoopWord) -> LoopWord:
-    """Canonical form preferring the standard alphabet when it exists."""
-    if w.star:
-        g = word_to_graph(w)
-        try:
-            words = graph_to_words(g, "standard")
-        except NotExpressible:
-            return canonicalize(w)
-        assert len(words) == 1
-        return canonicalize(words[0])
-    return canonicalize(w)
 
 
 _TOKEN = re.compile(r"^([abcde])(\*?)(-?\d+)?$")
@@ -455,6 +463,90 @@ def _recognize(chunk: List[Tuple[str, int]], star: bool) -> Letter:
     raise WordError(f"unrecognized segment {chunk}")
 
 
+# ---------------------------------------------------------------------------
+# the step transducer: both alphabets and the Euler characteristics without
+# a graph
+
+# (first, middle, last) steps of a letter with subscript k > 0 walked from its
+# start anchor to its end anchor, as (label, direction) pairs; direction -1
+# traverses an edge backwards.  These are the edges _emit_standard and
+# _emit_dual write: k + 1 steps, the middle one repeated k - 1 times, the
+# first k ending at interior vertices and the last at the next anchor.
+_POSITIVE_SEGMENTS = {
+    ("a", False): (("3", 1), ("23", 1), ("2", 1)),
+    ("b", False): (("123", 1), ("23", 1), ("1", -1)),
+    ("c", False): (("3", 1), ("23", 1), ("1", -1)),
+    ("d", False): (("123", 1), ("23", 1), ("2", 1)),
+    ("a", True): (("3", -1), ("12", 1), ("123", 1)),
+    ("b", True): (("2", 1), ("12", 1), ("1", 1)),
+    ("c", True): (("3", -1), ("12", 1), ("1", 1)),
+    ("d", True): (("2", 1), ("12", 1), ("123", 1)),
+}
+# keyed by (family, sign of k, star): the barred partner of a letter walks
+# its steps backwards
+_SEGMENTS = {}
+for (_fam, _star), _seg in _POSITIVE_SEGMENTS.items():
+    _SEGMENTS[_fam, 1, _star] = _seg
+    _SEGMENTS[Letter(_fam, 1, _star).bar().family, -1, _star] = tuple(
+        (label, -d) for label, d in reversed(_seg))
+# the single step of d_0 (c_0 walks it backwards) between two anchors
+_ZERO_LABEL = {False: "12", True: "23"}
+# a middle step runs between two interior vertices: in the other alphabet it
+# is a letter of its own, keyed here by (step, star of the word walked)
+_MIDDLE_LETTER = {
+    (seg[1], star): _recognize([seg[1]], not star)
+    for (_, _, star), seg in _SEGMENTS.items()
+}
+
+
+def _other_letters(w: LoopWord) -> Optional[List[Letter]]:
+    """The loop's letters in the other alphabet, read off the steps of w
+    broken at the interior vertices; None when there are none."""
+    star = w.star
+    # other-alphabet letters, or the steps of one still to be recognized
+    out: list = []
+    chunk: List[Tuple[str, int]] = []
+    for x in w.letters:
+        k = x.subscript
+        if k == 0:
+            chunk.append((_ZERO_LABEL[star], 1 if x.family == "d" else -1))
+            continue
+        first, mid, last = _SEGMENTS[x.family, 1 if k > 0 else -1, star]
+        chunk.append(first)
+        out.append(chunk)
+        out.extend([_MIDDLE_LETTER[mid, star]] * (abs(k) - 1))
+        chunk = [last]
+    if not out:
+        return None
+    # the steps after the last interior vertex open the first chunk
+    out[0] = chunk + out[0]
+    return [x if type(x) is Letter else _recognize(x, not star) for x in out]
+
+
+def _euler_chars(w: LoopWord) -> Tuple[int, int]:
+    """(chi_bullet, chi_circle) summed over the vertices the steps of w
+    reach, anchor 0 at grading 0.  A step flips the grading unless its label
+    contains a 2, so the 12 and 23 steps (zero letters, middle steps) keep
+    it; raises GraphError when the grading is inconsistent around the cycle.
+    """
+    star = w.star
+    gr = 0
+    chi_anchor = chi_interior = 0
+    for x in w.letters:
+        k = x.subscript
+        if k == 0:
+            chi_anchor += 1 - 2 * gr
+            continue
+        first, _, last = _SEGMENTS[x.family, 1 if k > 0 else -1, star]
+        gr ^= "2" not in first[0]
+        chi_interior += abs(k) * (1 - 2 * gr)
+        gr ^= "2" not in last[0]
+        chi_anchor += 1 - 2 * gr
+    if gr:
+        raise GraphError("inconsistent relative grading")
+    return (chi_interior, chi_anchor) if star else (chi_anchor, chi_interior)
+
+
 def graph_to_words(g: DecoratedGraph, alphabet: str = "standard") -> List[LoopWord]:
     """Break each cycle of a reduced valence-two graph into a word.
 
@@ -512,84 +604,29 @@ def graph_to_words(g: DecoratedGraph, alphabet: str = "standard") -> List[LoopWo
     return words
 
 
-def loop_to_graph(l: Loop) -> DecoratedGraph:
-    return word_to_graph(l.word)
-
-
-def graph_to_loops(g: DecoratedGraph, alphabet: str = "standard") -> List[Loop]:
-    return [Loop(canonicalize(w)) for w in graph_to_words(g, alphabet)]
-
-
 def dual_word(l: Loop) -> LoopWord:
     """Canonical word of the loop in the alphabet its representative does
     not use; raises NotExpressible for single-idempotent loops."""
-    other = "standard" if l.star else "dual"
-    g = word_to_graph(l.word)
-    try:
-        words = graph_to_words(g, other)
-    except NotExpressible:
-        raise NotExpressible("no dual representation") from None
-    assert len(words) == 1
-    return canonicalize(words[0])
-
-
-def dualize(l: Loop) -> Loop:
-    """The loop rewritten through the opposite alphabet.
-
-    Loops compare equal across alphabets, so this returns the same class;
-    it exists to expose the conversion (and its failure for one-idempotent
-    loops) as an operation.  Use word_in for the written form.
-    """
-    dual_word(l)
-    return l
+    w = l.other_word
+    if w is None:
+        raise NotExpressible("no dual representation")
+    return w
 
 
 def word_in(l: Loop, alphabet: str) -> LoopWord:
     """The loop's canonical word in the requested alphabet."""
-    want_star = alphabet == "dual"
-    if l.star == want_star:
+    if l.star == (alphabet == "dual"):
         return l.word
     return dual_word(l)
 
 
 def expressible(l: Loop, alphabet: str) -> bool:
-    try:
-        word_in(l, alphabet)
-        return True
-    except NotExpressible:
-        return False
-
-
-# ---------------------------------------------------------------------------
-# gradings and Euler characteristics
-
-
-@dataclass(frozen=True)
-class GradedLoop:
-    loop: Loop
-    graph: DecoratedGraph
-    gradings: Dict
-
-    def chi(self) -> Tuple[int, int]:
-        chi_bullet = chi_circle = 0
-        for v, idem in self.graph.vertices.items():
-            sign = 1 if self.gradings[v] == 0 else -1
-            if idem == "0":
-                chi_bullet += sign
-            else:
-                chi_circle += sign
-        return chi_bullet, chi_circle
-
-
-def assign_grading(l: Loop) -> GradedLoop:
-    """Relative grading with the first anchor of the canonical word at 0."""
-    g = word_to_graph(l.word)
-    return GradedLoop(l, g, g.gradings())
+    return l.star == (alphabet == "dual") or l.other_word is not None
 
 
 def euler_chars(l: Loop) -> Tuple[int, int]:
     """(chi_bullet, chi_circle) with the base vertex counted positively."""
-    return assign_grading(l).chi()
+    return l.chi
 
 
 def rational_longitude(l) -> Optional["Slope"]:

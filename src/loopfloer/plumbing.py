@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .loops import Letter, Loop, LoopWord, canonicalize, expressible, word_in
+from .loops import Letter, Loop, LoopWord, expressible, word_in
 from .twists import Slope, fill
 
 
@@ -214,7 +214,7 @@ def merge_loops(l1: Loop, l2: Loop) -> List[Loop]:
             letters.append(letter)
             if v == start:
                 break
-        out.append(Loop(canonicalize(LoopWord(letters))))
+        out.append(Loop(LoopWord(letters)))
     return out
 
 
@@ -252,7 +252,7 @@ def _ex_internal(l: _Internal) -> _Internal:
         return ("d", ex_on_ks(ks))
     # mixed signs: the result is dual-unstable but not standard-unstable
     return _classify_loop(
-        Loop(canonicalize(LoopWord([Letter("d", -k, True) for k in ks], validate=False)))
+        Loop(LoopWord([Letter("d", -k, True) for k in ks], validate=False))
     )
 
 
@@ -294,10 +294,10 @@ def _eval_subtree(t: PlumbingTree, v: int, weight: int, children: List[int],
 
 def _internal_to_loop(l: _Internal) -> Loop:
     if l[0] == "estar":
-        return Loop(canonicalize(LoopWord([Letter("d", 0, True)] * l[1], validate=False)))
+        return Loop(LoopWord([Letter("d", 0, True)] * l[1], validate=False))
     if l[0] == "loop":
         return l[1]
-    return Loop(canonicalize(LoopWord([Letter("d", k, False) for k in l[1]], validate=False)))
+    return Loop(LoopWord([Letter("d", k, False) for k in l[1]], validate=False))
 
 
 def cfd_internal(t: PlumbingTree) -> List[_Internal]:
@@ -418,4 +418,4 @@ def staircase_loop(exponents: Sequence[int], framing: int, tau: int) -> Loop:
     for i, k in enumerate(exponents):
         letters.append(Letter("a" if i % 2 == 0 else "b", k))
     letters.append(Letter("c", 2 * tau - framing))
-    return Loop(canonicalize(LoopWord(letters)))
+    return Loop(LoopWord(letters))

@@ -25,7 +25,6 @@ from .loops import (
     Loop,
     LoopWord,
     NotExpressible,
-    canonicalize,
     euler_chars,
     expressible,
     word_in,
@@ -225,15 +224,15 @@ def twist(l: Loop, kind: str, n: int = 1) -> Loop:
             shifted.append(Letter("d", x.subscript + n, x.star))
         else:
             shifted.append(x)
-    return Loop(canonicalize(LoopWord(shifted)))
+    # shifting c/d subscripts keeps the word valid; Loop canonicalizes it
+    return Loop(LoopWord(shifted, validate=False))
 
 
 def ex(l: Loop) -> Loop:
     """Negate every subscript and switch alphabet (tw then du^-1 then tw)."""
-    w = l.word
-    return Loop(canonicalize(LoopWord([
-        Letter(x.family, -x.subscript, not x.star) for x in w.letters
-    ])))
+    return Loop(LoopWord(
+        [Letter(x.family, -x.subscript, not x.star) for x in l.word.letters], validate=False
+    ))
 
 
 def ex_composite(l: Loop) -> Loop:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import loopfloer
+from loopfloer import Slope, SlopeSet, cli
 from loopfloer.cli import run
 
 POINCARE = "v 0 -1\nv 1 -2\nv 2 -3\nv 3 -5\ne 0 1\ne 0 2\ne 0 3\n"
@@ -86,6 +87,23 @@ def test_twist_command(capsys):
     assert code == 0 and out == "(c-1 c0)"  # canonical form of (d1 d0)
 
 
+def test_twist_rejects_bad_power(capsys):
+    code, out, err = invoke(capsys, "twist", "(e)", "tw^x")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "bad power in twist operation 'tw^x'"
+
+
+def test_interval_oracle_flag(capsys, monkeypatch):
+    code, out, _ = invoke(capsys, "--oracle", "interval", "(a-3 b1 c-3)")
+    assert code == 0 and out == "closed-arc -3 1/0 [sweep-certified to depth 6]"
+    # a wrong arc (the answer before the endpoint next to 1/0 was mended)
+    wrong = SlopeSet.closed_arc(Slope(-3, 1), Slope(-3, 1))
+    monkeypatch.setattr(cli, "lspace_interval", lambda loops: wrong)
+    code, out, err = invoke(capsys, "--oracle", "interval", "(a-3 b1 c-3)")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith("oracle mismatch")
+
+
 def test_dualize_command(capsys):
     code, out, _ = invoke(capsys, "dualize", "(d3)")
     assert code == 0 and out == "(c*-1 c*0 c*0)"
@@ -103,6 +121,8 @@ def test_census_command(capsys):
     assert rows[0]["dual_fill_dim"] == 4
     assert rows[1]["dual_fill_dim"] == 9
     assert all(r["longitude"] == "1/0" for r in rows)
+    code, out, _ = invoke(capsys, "census", "--family", "nt", "--range", "2..4")
+    assert code == 0 and len(out.splitlines()) == 3
 
 
 def test_census_rejects_unknown_family(capsys):
@@ -120,12 +140,6 @@ def test_domain_errors(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["fill"]) == 2
     assert run([]) == 2
-
-
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("LOOPFLOER_THREADS", "2")
-    code, out, _ = invoke(capsys, "census", "--family", "nt", "--range", "2..4")
-    assert code == 0 and len(out.splitlines()) == 3
 
 
 def test_runtime_does_not_import_numpy():

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from loopfloer import Loop, Slope, euler_chars, mirror, rational_longitude
 from loopfloer.loops import (
@@ -8,7 +10,6 @@ from loopfloer.loops import (
     WordError,
     canonicalize,
     dual_word,
-    dualize,
     format_word,
     graph_to_words,
     parse_loops,
@@ -99,7 +100,7 @@ def test_dualize_rejects_single_idempotent():
         dual_word(Loop.from_text("e"))
     with pytest.raises(NotExpressible):
         dual_word(Loop.from_text("e* e*"))
-    assert dualize(Loop.from_text("d3")) == Loop.from_text("d3")
+    assert Loop(dual_word(Loop.from_text("d3"))) == Loop.from_text("d3")
 
 
 def test_dual_word_involution(corpus):
@@ -146,16 +147,16 @@ def test_rational_longitude():
 
 
 def test_grading_examples():
-    from loopfloer.loops import assign_grading
-
     # endpoints of an all-d chain share their grading
-    gl = assign_grading(Loop.from_text("d3"))
-    bullets = [v for v, idem in gl.graph.vertices.items() if idem == "0"]
-    assert len({gl.gradings[v] for v in bullets}) == 1
+    g = word_to_graph(Loop.from_text("d3").word)
+    gradings = g.gradings()
+    bullets = [v for v, idem in g.vertices.items() if idem == "0"]
+    assert len({gradings[v] for v in bullets}) == 1
     # the two i0 generators of (a1 b1) have opposite gradings
-    gl = assign_grading(Loop.from_text("a1 b1"))
-    bullets = [v for v, idem in gl.graph.vertices.items() if idem == "0"]
-    assert {gl.gradings[v] for v in bullets} == {0, 1}
+    g = word_to_graph(Loop.from_text("a1 b1").word)
+    gradings = g.gradings()
+    bullets = [v for v, idem in g.vertices.items() if idem == "0"]
+    assert {gradings[v] for v in bullets} == {0, 1}
 
 
 def test_mirror_is_involution(corpus):
@@ -236,3 +237,104 @@ def test_textual_dual_rule_cross_check(corpus):
         assert canonicalize(LoopWord(letters)) == canonicalize(dual), str(loop)
         checked += 1
     assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# the step transducer against the graph route
+
+# After a letter the next one must start in a given puzzle-piece class: c and
+# d keep it, a and b switch it (a only from class 2, b only from class 1), so
+# a word that switches an even number of times closes up with as many a as b.
+_KEEP = {1: "d", 2: "c"}
+_SWITCH = {1: "b", 2: "a"}
+
+
+@st.composite
+def words(draw, max_len=12, max_sub=5):
+    """Valid words in either alphabet, all-e and all-e* words included."""
+    star = draw(st.booleans())
+    n = draw(st.integers(1, max_len))
+    if draw(st.integers(0, 7)) == 0:
+        return LoopWord([Letter("d", 0, star)] * n)
+    switches = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if sum(switches) % 2:
+        switches[switches.index(True)] = False
+    cls = draw(st.sampled_from([1, 2]))
+    letters = []
+    for switch in switches:
+        fam = _SWITCH[cls] if switch else _KEEP[cls]
+        if switch:
+            cls = 3 - cls
+            sub = draw(st.integers(-max_sub, max_sub).filter(bool))
+        else:
+            sub = draw(st.integers(-max_sub, max_sub))
+        letters.append(Letter(fam, sub, star))
+    return LoopWord(letters)
+
+
+def _graph_word(w, alphabet):
+    try:
+        return canonicalize(graph_to_words(word_to_graph(w), alphabet)[0])
+    except NotExpressible:
+        return None
+
+
+def _graph_chis(w):
+    g = word_to_graph(w)
+    gradings = g.gradings()
+    chi = {"0": 0, "1": 0}
+    for v, idem in g.vertices.items():
+        chi[idem] += 1 if gradings[v] == 0 else -1
+    return chi["0"], chi["1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(words())
+def test_transducer_matches_graph_route(w):
+    l = Loop(w)
+    other = "standard" if w.star else "dual"
+    try:
+        got = word_in(l, other)
+    except NotExpressible:
+        got = None
+    assert got == _graph_word(w, other)
+    assert euler_chars(l) == _graph_chis(l.word)
+    if l.other_word is not None:
+        assert Loop(dual_word(l)) == l
+
+
+def test_fast_path_builds_no_graph(monkeypatch):
+    from loopfloer import (
+        PlumbingTree,
+        algebra,
+        cfd,
+        fill,
+        glue_is_lspace,
+        hf_dim_closed,
+        is_lspace_slope,
+        is_strict_lspace_slope,
+        lspace_interval,
+        n_t_tree,
+    )
+    from loopfloer import cli, detection, twists
+
+    for cached in (twists._reparametrize_one, detection.all_unstable_form,
+                   detection.solid_torus_like, detection._interval_one_cached):
+        cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("the fast path built a DecoratedGraph")
+
+    monkeypatch.setattr(algebra.DecoratedGraph, "add_vertex", refuse)
+    tre, framed, dual = (Loop.from_text(t) for t in ("a1 b1 c-2", "d-4 d-3", "a*2 e* b*1 c*-1"))
+    assert fill([tre, framed], Slope(-2, 3)).dim > 0
+    assert fill(dual, Slope(0, 1)).dim > 0
+    assert is_lspace_slope([framed], Slope(1, 2))
+    assert not is_strict_lspace_slope([tre], Slope(3, 1))
+    assert str(lspace_interval(tre)) == "closed-arc 1/0 -1"
+    assert str(lspace_interval(Loop.from_text("a-3 b1 c-3"))).startswith("closed-arc -3 1/0")
+    assert glue_is_lspace([Loop.from_text("e")], [tre])
+    assert len(cfd(n_t_tree(4))) == 4
+    poincare = PlumbingTree({0: -1, 1: -2, 2: -3, 3: -5}, [(0, 1), (0, 2), (0, 3)], None)
+    assert hf_dim_closed(poincare) == (1, True)
+    assert cli._census_row(5, False)["dual_fill_dim"] == 25
