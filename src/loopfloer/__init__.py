@@ -29,14 +29,11 @@ from .loops import (
     canonicalize,
     euler_chars,
     format_loops,
-    format_word,
     graph_to_words,
-    is_solid_torus_like,
     mirror,
     parse_loops,
     parse_word,
     rational_longitude,
-    validate,
     word_to_graph,
 )
 from .oracle import (

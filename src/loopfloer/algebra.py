@@ -106,12 +106,6 @@ class DecoratedGraph:
     def is_reduced(self) -> bool:
         return all(label is not IDENT for _, _, label in self.edges)
 
-    def out_edges(self, v: Hashable):
-        return [(s, t, l) for (s, t, l) in self.edges if s == v]
-
-    def in_edges(self, v: Hashable):
-        return [(s, t, l) for (s, t, l) in self.edges if t == v]
-
     def components(self) -> List[Set[Hashable]]:
         adj: Dict[Hashable, Set[Hashable]] = {v: set() for v in self.vertices}
         for s, t, _ in self.edges:

@@ -1,22 +1,31 @@
 """Command-line surface: invariants, fillings, intervals, gluings, censuses.
 
 Exit codes: 0 success, 1 domain error (with a machine-readable reason),
-2 usage error.  Inputs may be inline text or paths to files holding the same
-text.  Loops use the word format of the loops module, trees the line format
-of the plumbing module; slopes are 'p/q' with 'inf' for 1/0.
+2 usage error.  Inputs are inline text, '@path' for a file holding the same
+text, or '-' for standard input.  Loops use the word format of the loops
+module, trees the line format of the plumbing module; slopes are 'p/q' with
+'inf' for 1/0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
 from typing import List, Optional
 
 from .detection import SlopeSet, lspace_interval, stern_brocot_slopes
 from .gluing import glue_is_lspace
-from .loops import Loop, WordError, format_loops, parse_loops, rational_longitude
+from .loops import (
+    Loop,
+    WordError,
+    format_loops,
+    parse_loops,
+    parse_word,
+    rational_longitude,
+    word_in,
+)
 from .oracle import fill_oracle, pair_is_lspace
 from .plumbing import (
     PipelineError,
@@ -27,7 +36,7 @@ from .plumbing import (
     n_t_tree,
     parse_tree,
 )
-from .twists import FillingResult, Slope, ex, fill, twist
+from .twists import INFINITY, ZERO_SLOPE, FillingResult, Slope, ex, fill, twist
 
 
 class DomainError(ValueError):
@@ -35,9 +44,16 @@ class DomainError(ValueError):
 
 
 def _read_input(arg: str) -> str:
-    if os.path.isfile(arg):
-        with open(arg) as fh:
-            return fh.read()
+    """'@path' reads a file and '-' standard input; anything else is the
+    text itself."""
+    if arg == "-":
+        return sys.stdin.read()
+    if arg.startswith("@"):
+        try:
+            with open(arg[1:]) as fh:
+                return fh.read()
+        except OSError as err:
+            raise DomainError(f"cannot read {arg[1:]!r}: {err.strerror}") from None
     return arg
 
 
@@ -87,22 +103,28 @@ def _filling_json(r: FillingResult) -> dict:
     }
 
 
+def _check_filling(loops: List[Loop], slope: Slope, oracle: bool, what: str) -> FillingResult:
+    """The fast filling; with oracle set, raise unless the pairing oracle
+    gives the same counts."""
+    res = fill(loops, slope)
+    if oracle:
+        ref = fill_oracle(loops, slope)
+        if (ref.dim, ref.chi_abs, ref.is_lspace) != (res.dim, res.chi_abs, res.is_lspace):
+            raise DomainError(f"oracle mismatch on {what}: fast {res} vs oracle {ref}")
+    return res
+
+
 def _cmd_cfd(args) -> None:
-    loops = cfd(_parse_tree_arg(args.tree))
+    tree = _parse_tree_arg(args.tree)
+    try:
+        loops = cfd(tree)
+    except (PipelineError, TreeError) as err:
+        raise DomainError(str(err)) from None
     if args.oracle:
         # no independent route recomputes a bordered invariant, but both
         # preferred fillings of the claimed loops must match the pairing
-        for slope in (Slope(1, 0), Slope(0, 1)):
-            fast = fill(loops, slope)
-            ref = fill_oracle(loops, slope)
-            if (ref.dim, ref.chi_abs, ref.is_lspace) != (
-                fast.dim,
-                fast.chi_abs,
-                fast.is_lspace,
-            ):
-                raise DomainError(
-                    f"oracle mismatch on the {slope} filling of the result"
-                )
+        for slope in (INFINITY, ZERO_SLOPE):
+            _check_filling(loops, slope, True, f"the {slope} filling of the result")
     _emit({"loops": [str(l) for l in loops]}, format_loops(loops), args.format)
 
 
@@ -127,12 +149,7 @@ def _cmd_hf(args) -> None:
 
 def _cmd_fill(args) -> None:
     loops = _parse_loops_arg(args.loops)
-    slope = _parse_slope(args.slope)
-    res = fill(loops, slope)
-    if args.oracle:
-        ref = fill_oracle(loops, slope)
-        if (ref.dim, ref.chi_abs, ref.is_lspace) != (res.dim, res.chi_abs, res.is_lspace):
-            raise DomainError(f"oracle mismatch: fast {res} vs oracle {ref}")
+    res = _check_filling(loops, _parse_slope(args.slope), args.oracle, "the filling")
     _emit(_filling_json(res), str(res), args.format)
 
 
@@ -169,8 +186,6 @@ def _cmd_glue(args) -> None:
 
 def _cmd_dualize(args) -> None:
     # rewrite each input word in the alphabet it was not given in
-    from .loops import format_word, parse_word, word_in
-
     text = _read_input(args.loops)
     text = " ".join(line.split("#")[0] for line in text.splitlines())
     out = []
@@ -182,7 +197,7 @@ def _cmd_dualize(args) -> None:
     except WordError as err:
         raise DomainError(str(err)) from None
     _emit(
-        {"words": [format_word(w) for w in out]},
+        {"words": [str(w) for w in out]},
         " | ".join(f"({w})" for w in out),
         args.format,
     )
@@ -210,12 +225,7 @@ def _cmd_twist(args) -> None:
 
 def _census_row(t: int, oracle: bool):
     loops = cfd(n_t_tree(t))
-    zero = Slope(0, 1)
-    res = fill(loops, zero)
-    if oracle:
-        ref = fill_oracle(loops, zero)
-        if (ref.dim, ref.chi_abs, ref.is_lspace) != (res.dim, res.chi_abs, res.is_lspace):
-            raise DomainError(f"oracle mismatch in census row t={t}")
+    res = _check_filling(loops, ZERO_SLOPE, oracle, f"census row t={t}")
     return {
         "t": t,
         "loops": [str(l) for l in loops],
@@ -301,8 +311,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # keep argparse from reading negative slopes like -2/3 as options
-    import re
-
     argv = [" " + a if re.fullmatch(r"-\d+(/\d+)?", a) else a for a in argv]
     try:
         args = parser.parse_args(argv)

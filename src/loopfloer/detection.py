@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .loops import (
@@ -17,9 +18,11 @@ from .loops import (
     Loop,
     LoopWord,
     NotExpressible,
+    as_loops,
     euler_chars,
     expressible,
     rational_longitude,
+    unstable_subscripts,
     word_in,
 )
 from .twists import (
@@ -27,7 +30,6 @@ from .twists import (
     Slope,
     TwistWord,
     ZERO_SLOPE,
-    ex,
     reparametrize,
     twist,
 )
@@ -128,16 +130,6 @@ class SlopeSet:
             certified=self.certified,
         )
 
-    def complement_closure(self) -> "SlopeSet":
-        """Closure of the complement of the interior (the non-strict set)."""
-        if self.kind == "empty":
-            return SlopeSet("all", certified=self.certified)
-        if self.kind == "all":
-            return SlopeSet("empty", certified=self.certified)
-        if self.kind == "all_except":
-            return SlopeSet("closed_arc", self.a, self.a, certified=self.certified)
-        return SlopeSet("closed_arc", self.b, self.a, certified=self.certified)
-
     def intersect(self, other: "SlopeSet") -> "SlopeSet":
         cert = self.certified if other.certified == "exact" else other.certified
         if self.kind == "all":
@@ -223,40 +215,30 @@ def stern_brocot_slopes(depth: int) -> List[Slope]:
 # slope predicates
 
 
-def _loops(loops) -> List[Loop]:
-    return [loops] if isinstance(loops, Loop) else list(loops)
-
-
-def _unstable_counts(w: LoopWord) -> Tuple[int, int]:
-    nc = sum(1 for x in w.letters if x.family == "c")
-    nd = sum(1 for x in w.letters if x.family == "d")
-    return nc, nd
-
-
-def _infinity_is_lspace(l: Loop) -> bool:
-    if not expressible(l, "standard"):
-        return False
-    nc, nd = _unstable_counts(word_in(l, "standard"))
-    return (nc == 0) != (nd == 0)  # one family present, not both, not neither
+def _slope_word(l: Loop, s: Slope) -> Optional[LoopWord]:
+    """The word that decides slope s: the dual word at slope zero, else the
+    standard word of the loop reparametrized to take s to infinity; None
+    when that word does not exist."""
+    if s != ZERO_SLOPE:
+        l, alphabet = reparametrize(l, s), "standard"
+    else:
+        alphabet = "dual"
+    return word_in(l, alphabet) if expressible(l, alphabet) else None
 
 
 def is_lspace_slope(loops, s: Slope) -> bool:
     """Whether filling every loop at s yields an L-space summand.
 
-    At infinity: the standard word must show d-family unstable chains and no
-    c-family ones, up to reversing the loop; slope zero uses the dual word;
-    other slopes reparametrize first.
+    The word deciding s must show unstable chains of exactly one of the c
+    and d families (d and no c, up to reversing the loop).
     """
-    for l in _loops(loops):
-        if s == ZERO_SLOPE:
-            if not expressible(l, "dual"):
-                return False
-            nc, nd = _unstable_counts(word_in(l, "dual"))
-            if not ((nc == 0) != (nd == 0)):
-                return False
-        else:
-            if not _infinity_is_lspace(reparametrize(l, s)):
-                return False
+    for l in as_loops(loops):
+        w = _slope_word(l, s)
+        if w is None:
+            return False
+        fams = {x.family for x in w.letters}
+        if ("c" in fams) == ("d" in fams):
+            return False
     return True
 
 
@@ -265,7 +247,6 @@ def _strict_decomposition(letters: Sequence[Letter]) -> bool:
     d present and the two pair kinds never adjacent."""
     n = len(letters)
     kinds: List[Optional[int]] = [None] * n  # +1 / -1 for pair starts, 0 for d
-    i = 0
     has_d = False
     used = [False] * n
     for i in range(n):
@@ -308,97 +289,19 @@ def _strict_decomposition(letters: Sequence[Letter]) -> bool:
     return True
 
 
-def _infinity_is_strict(l: Loop) -> bool:
-    if not expressible(l, "standard"):
-        return False
-    w = word_in(l, "standard")
-    return _strict_decomposition(w.letters) or _strict_decomposition(
-        w.reversal().letters
-    )
-
-
 def is_strict_lspace_slope(loops, s: Slope) -> bool:
     """Interior membership in the L-space slope set."""
-    for l in _loops(loops):
-        if s == ZERO_SLOPE:
-            if not expressible(l, "dual"):
-                return False
-            w = word_in(l, "dual")
-            if not (
-                _strict_decomposition(w.letters)
-                or _strict_decomposition(w.reversal().letters)
-            ):
-                return False
-        else:
-            if not _infinity_is_strict(reparametrize(l, s)):
-                return False
-    return True
-
-
-def sign_class(l: Loop) -> Optional[int]:
-    """+1 or -1 when both preferred slopes are L-space slopes.
-
-    A loop with both the zero and infinity fillings L-spaces admits a
-    standard word with d-letters and no c-letters containing, in exactly one
-    sign, a subword from the witness family: an adjacent pair b_i a_j, a
-    pair from {a_i, d_i} x {b_j, d_j} separated only by e letters, or a
-    single letter of absolute subscript at least two (all subscripts of the
-    stated sign).  +1 certifies that every positive slope is an L-space
-    slope, -1 every negative one; None when the hypothesis fails.
-    """
-    if not expressible(l, "standard"):
-        return None
-    w = word_in(l, "standard")
-    nc, nd = _unstable_counts(w)
-    if nc and nd:
-        return None
-    if nc:
-        w = w.reversal()
-    elif nd == 0:
-        return None
-    found = {s for s in (1, -1) if _has_witness(w.letters, s)}
-    if len(found) != 1:
-        return None
-    return found.pop()
-
-
-def _has_witness(letters: Sequence[Letter], sign: int) -> bool:
-    n = len(letters)
-    if any(sign * x.subscript >= 2 for x in letters):
-        return True
-    for i, x in enumerate(letters):
-        y = letters[(i + 1) % n]
-        if (
-            x.family == "b"
-            and y.family == "a"
-            and sign * x.subscript >= 1
-            and sign * y.subscript >= 1
+    for l in as_loops(loops):
+        w = _slope_word(l, s)
+        if w is None or not (
+            _strict_decomposition(w.letters) or _strict_decomposition(w.reversal().letters)
         ):
-            return True
-        # {a, d} then e letters then {b, d}; cyclic subwords may wrap, so a
-        # lone d_1 witnesses through itself
-        if x.family in "ad" and sign * x.subscript >= 1:
-            j = (i + 1) % n
-            steps = 0
-            while letters[j].family == "d" and letters[j].subscript == 0 and steps < n:
-                j = (j + 1) % n
-                steps += 1
-            y = letters[j]
-            if y.family in "bd" and sign * y.subscript >= 1:
-                return True
-    return False
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # all-unstable forms and the normalization algorithm
-
-
-def _std_families(l: Loop) -> set:
-    return {x.family for x in word_in(l, "standard").letters}
-
-
-def _all_unstable_std(l: Loop) -> bool:
-    return expressible(l, "standard") and _std_families(l) <= {"c", "d"}
 
 
 def _all_unstable_dual(l: Loop) -> bool:
@@ -421,82 +324,63 @@ def _necessary_conditions(l: Loop) -> bool:
     return True
 
 
-def _ks_of(l: Loop) -> Optional[Tuple[int, ...]]:
-    """Standard-unstable subscripts as an all-d word, or None."""
-    if not _all_unstable_std(l):
-        return None
-    w = word_in(l, "standard")
-    fams = {x.family for x in w.letters}
-    if fams <= {"d"}:
-        return tuple(x.subscript for x in w.letters)
-    if fams <= {"c"}:
-        return tuple(x.subscript for x in w.reversal().letters)
-    raise AssertionError("mixed unstable families in a valid word")
-
-
 def loop_from_ks(ks: Sequence[int], star: bool = False) -> Loop:
     return Loop.from_letters([Letter("d", k, star) for k in ks])
 
 
-from functools import lru_cache
+# depth of the twist-orbit search for an all-unstable form, and of the
+# Stern-Brocot sweep that answers for loops the search cannot normalize
+DEPTH = 6
 
 
 @lru_cache(maxsize=8192)
-def all_unstable_form(l: Loop, depth: int = 6):
+def all_unstable_form(l: Loop, depth: int = DEPTH):
     """Search the twist orbit for an all-unstable standard word.
 
     Returns (subscripts, TwistWord) with TwistWord(l) equal to the all-d loop,
-    or None when the bounded search is exhausted.  Cached: treat the returned
-    TwistWord as read-only.
+    or None when the bounded search is exhausted.
     """
     if not _necessary_conditions(l):
         return None
-    start = l
 
-    def finish(loop: Loop, word: TwistWord):
-        ks = _ks_of(loop)
-        if ks is not None:
-            return ks, word
-        # dual-unstable: push the dual subscripts positive, then read off
-        w = word_in(loop, "dual")
-        subs = [x.subscript if x.family == "d" else -x.subscript for x in w.letters]
-        n = max(0, 1 - min(subs))
-        word = TwistWord(word.ops + [("du", n)]) if n else word
-        shifted = twist(loop, "du", n) if n else loop
-        ks = _ks_of(shifted)
-        if ks is None:
-            return None
-        return ks, word
+    def finish(loop: Loop, ops: tuple):
+        ks = unstable_subscripts(loop)
+        if ks is None and _all_unstable_dual(loop):
+            # push the dual subscripts positive, then read off
+            subs = [x.subscript if x.family == "d" else -x.subscript
+                    for x in word_in(loop, "dual").letters]
+            n = max(0, 1 - min(subs))
+            ops += (("du", n),)
+            ks = unstable_subscripts(twist(loop, "du", n))
+        return None if ks is None else (ks, TwistWord(ops))
 
-    if _all_unstable_std(start) or _all_unstable_dual(start):
-        out = finish(start, TwistWord())
-        if out is not None:
-            return out
-    seen = {start}
-    frontier: List[Tuple[Loop, TwistWord]] = [(start, TwistWord())]
+    out = finish(l, ())
+    if out is not None:
+        return out
+    seen = {l}
+    frontier: List[Tuple[Loop, tuple]] = [(l, ())]
     for _ in range(depth):
-        nxt: List[Tuple[Loop, TwistWord]] = []
-        for loop, word in frontier:
-            for kind, n in (("tw", 1), ("tw", -1), ("du", 1), ("du", -1)):
-                cand = twist(loop, kind, n)
+        nxt: List[Tuple[Loop, tuple]] = []
+        for loop, ops in frontier:
+            for step in (("tw", 1), ("tw", -1), ("du", 1), ("du", -1)):
+                cand = twist(loop, *step)
                 if cand in seen:
                     continue
                 seen.add(cand)
-                cw = TwistWord(word.ops + [(kind, n)])
-                if _all_unstable_std(cand) or _all_unstable_dual(cand):
-                    out = finish(cand, cw)
-                    if out is not None:
-                        return out
-                nxt.append((cand, cw))
+                cand_ops = ops + (step,)
+                out = finish(cand, cand_ops)
+                if out is not None:
+                    return out
+                nxt.append((cand, cand_ops))
         frontier = nxt
     return None
 
 
-def is_simple(l: Loop, depth: int = 6) -> str:
+def is_simple(l: Loop) -> str:
     """'yes', 'no', or 'unknown': can twists remove all stable chains?"""
     if not _necessary_conditions(l):
         return "no"
-    if all_unstable_form(l, depth) is not None:
+    if all_unstable_form(l) is not None:
         return "yes"
     return "unknown"
 
@@ -568,50 +452,46 @@ def _case3(ks: Sequence[int], sign: int) -> bool:
     return not _case2(ks)
 
 
-def normalize_simple(l, depth: int = 6, sign: int = 1) -> NormalizeResult:
+def normalize_simple(l, sign: int = 1) -> NormalizeResult:
     """Twist-reduction of a simple loop to one of three terminal shapes.
 
     Accepts a Loop (searched for its all-unstable form first) or a raw
     subscript sequence.  sign +1 runs the algorithm as stated; sign -1 runs
     the mirrored variant that locates the other interval endpoint.
     """
-    log = TwistWord()
+    pre = TwistWord()
     if isinstance(l, Loop):
-        found = all_unstable_form(l, depth)
+        found = all_unstable_form(l)
         if found is None:
-            raise NotSimple(f"no all-unstable representative within depth {depth}")
-        ks, cached_log = found
-        log = TwistWord(list(cached_log.ops))
+            raise NotSimple(f"no all-unstable representative within depth {DEPTH}")
+        ks, pre = found
     else:
         ks = tuple(l)
     # Work with the mirrored word for the sign -1 run: tw^n there is tw^{-n}
     # on the true loop while ex commutes with mirroring, so logged twists
     # carry a sign factor and ex entries do not.
     ks = tuple(sign * k for k in ks)
+    ops: List[Tuple[str, int]] = []
 
-    def log_tw(n: int) -> None:
-        if n:
-            log.append("tw", sign * n)
+    def done(case: int, terminal: Sequence[int]) -> NormalizeResult:
+        return NormalizeResult(case, pre.then(*ops), tuple(sign * k for k in terminal))
 
     m = min(ks)
-    log_tw(-m)
+    ops.append(("tw", -sign * m))
     ks = tuple(k - m for k in ks)
     kappa = sum(1 for k in ks if k == 0)
     cap = (kappa + 2) * (max(ks) + 2) + len(ks) + 16
     for _ in range(cap):
         if all(k == 0 for k in ks):
-            return NormalizeResult(1, log, tuple(sign * k for k in ks))
+            return done(1, ks)
         t = tuple(k - 1 for k in ks)
-        if _case2(t):
-            log_tw(-1)
-            return NormalizeResult(2, log, tuple(sign * k for k in t))
-        if _case3(t, 1):
-            log_tw(-1)
-            return NormalizeResult(3, log, tuple(sign * k for k in t))
+        case = 2 if _case2(t) else 3 if _case3(t, 1) else None
+        if case:
+            ops.append(("tw", -sign))
+            return done(case, t)
         nxt = ex_on_ks(ks)  # nonpositive output
-        log.append("ex", 1)
         m = min(nxt)
-        log_tw(-m)
+        ops += [("ex", 1), ("tw", -sign * m)]
         ks = tuple(k - m for k in nxt)
     raise MeasureViolated("normalization failed to terminate within its measure")
 
@@ -621,7 +501,7 @@ class NotSimple(ValueError):
 
 
 @lru_cache(maxsize=8192)
-def solid_torus_like(l: Loop, depth: int = 6) -> bool:
+def solid_torus_like(l: Loop) -> bool:
     """Whether the loop lies in the twist orbit of an all-e word."""
     if not expressible(l, "standard"):
         return True  # all dual-e words are twists of all-e words
@@ -629,10 +509,10 @@ def solid_torus_like(l: Loop, depth: int = 6) -> bool:
         return True  # all-e standard word
     if not _necessary_conditions(l):
         return False
-    found = all_unstable_form(l, depth)
+    found = all_unstable_form(l)
     if found is None:
         return False
-    res = normalize_simple(loop_from_ks(found[0]), depth)
+    res = normalize_simple(loop_from_ks(found[0]))
     if res.case == 1:
         return True
     if res.case == 2:
@@ -644,46 +524,32 @@ def solid_torus_like(l: Loop, depth: int = 6) -> bool:
 # intervals
 
 
-def lspace_interval(loops, depth: int = 6, sweep_depth: int = 6, allow_sweep: bool = True) -> SlopeSet:
+def lspace_interval(loops) -> SlopeSet:
     """The set of L-space slopes, intersected over the given loops.
 
     Simple loops get exact answers via the normalization algorithm; loops the
-    bounded search cannot certify fall back to a sweep certified only to the
-    stated depth (or raise when sweeping is disabled).
+    bounded search cannot certify fall back to a sweep certified only to
+    depth DEPTH.
     """
     out = SlopeSet.all()
-    for l in _loops(loops):
-        out = out.intersect(_interval_one_cached(l, depth, sweep_depth, allow_sweep))
+    for l in as_loops(loops):
+        out = out.intersect(_interval_one_cached(l))
     return out
 
 
 @lru_cache(maxsize=8192)
-def _interval_one_cached(l: Loop, depth: int, sweep_depth: int, allow_sweep: bool) -> SlopeSet:
-    return _interval_one(l, depth, sweep_depth, allow_sweep)
-
-
-def _interval_one(l: Loop, depth: int, sweep_depth: int, allow_sweep: bool) -> SlopeSet:
+def _interval_one_cached(l: Loop) -> SlopeSet:
     chi_b, chi_c = euler_chars(l)
     if chi_b == 0 and chi_c == 0:
         return SlopeSet.empty()
-    longitude = rational_longitude(l)
-    found = all_unstable_form(l, depth)
+    found = all_unstable_form(l)
     if found is None:
-        if not allow_sweep:
-            raise NotSimple("not certified simple and sweeping is disabled")
-        return _sweep_interval(l, sweep_depth)
+        return _sweep_interval(l, DEPTH)
     ks, pre = found
-    results = {}
-    for sign in (1, -1):
-        res = normalize_simple(tuple(ks), sign=sign)
-        results[sign] = res
-    if results[1].case in (1, 2) or results[-1].case in (1, 2):
-        return SlopeSet.all_except(longitude)
-    endpoints = []
-    for sign in (1, -1):
-        w = TwistWord(pre.ops + results[sign].log.ops)
-        endpoints.append(w.pullback(ZERO_SLOPE))
-    e1, e2 = endpoints
+    results = [normalize_simple(ks, sign=sign) for sign in (1, -1)]
+    if any(res.case in (1, 2) for res in results):
+        return SlopeSet.all_except(rational_longitude(l))
+    e1, e2 = (pre.then(*res.log.ops).pullback(ZERO_SLOPE) for res in results)
     if e1 == e2:
         return SlopeSet.closed_arc(e1, e1)
     return _orient_arc(l, e1, e2)

@@ -8,8 +8,6 @@ image of the complement of one interior must land inside the other interior.
 
 from __future__ import annotations
 
-from typing import List
-
 from .detection import (
     SlopeSet,
     arc_in_open_arc,
@@ -18,19 +16,12 @@ from .detection import (
     lspace_interval,
     solid_torus_like,
 )
-from .loops import Loop, rational_longitude
-from .twists import Slope
-
-
-def _loops(loops) -> List[Loop]:
-    return [loops] if isinstance(loops, Loop) else list(loops)
+from .loops import as_loops, rational_longitude
 
 
 def lspace_aligned(loops1, loops2) -> bool:
     """Every slope is strict for side one or reciprocal-strict for side two."""
-    i1 = lspace_interval(_loops(loops1))
-    i2 = lspace_interval(_loops(loops2))
-    return aligned_intervals(i1, i2)
+    return aligned_intervals(lspace_interval(loops1), lspace_interval(loops2))
 
 
 def aligned_intervals(i1: SlopeSet, i2: SlopeSet) -> bool:
@@ -68,7 +59,7 @@ def glue_is_lspace(loops1, loops2) -> bool:
     L-space slope for the other side.  Otherwise the two sides must be
     L-space aligned.
     """
-    l1, l2 = _loops(loops1), _loops(loops2)
+    l1, l2 = as_loops(loops1), as_loops(loops2)
     st1 = all(solid_torus_like(l) for l in l1)
     st2 = all(solid_torus_like(l) for l in l2)
     if st1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import DecoratedGraph, GraphError, IDENT
 
@@ -49,13 +49,6 @@ class Letter:
 
     def negate(self) -> "Letter":
         return Letter(self.family, -self.subscript, self.star)
-
-    def unstar(self, star: bool) -> "Letter":
-        return Letter(self.family, self.subscript, star)
-
-    @property
-    def stable(self) -> bool:
-        return self.family in "ab"
 
     def __str__(self) -> str:
         star = "*" if self.star else ""
@@ -110,11 +103,6 @@ class LoopWord:
 
     def reversal(self) -> "LoopWord":
         return LoopWord(tuple(l.bar() for l in reversed(self.letters)), validate=False)
-
-    def rotations(self) -> Iterable[Tuple[Letter, ...]]:
-        ls = self.letters
-        for i in range(len(ls)):
-            yield ls[i:] + ls[:i]
 
     def __str__(self):
         return " ".join(str(l) for l in self.letters)
@@ -264,10 +252,6 @@ def parse_word(text: str) -> LoopWord:
     return LoopWord(letters)
 
 
-def format_word(w: LoopWord) -> str:
-    return str(w)
-
-
 def parse_loops(text: str) -> List[Loop]:
     """Parse '|'-separated loops; '#' starts a comment."""
     lines = []
@@ -286,9 +270,9 @@ def format_loops(loops: Sequence[Loop]) -> str:
     return " | ".join(str(l) for l in loops)
 
 
-def validate(w: LoopWord) -> List[str]:
-    """Violation list for a word (already-constructed words are valid)."""
-    return word_violations(w.letters)
+def as_loops(loops) -> List[Loop]:
+    """A Loop as a one-element list; any other iterable of Loops as a list."""
+    return [loops] if isinstance(loops, Loop) else list(loops)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +613,22 @@ def euler_chars(l: Loop) -> Tuple[int, int]:
     return l.chi
 
 
-def rational_longitude(l) -> Optional["Slope"]:
+def unstable_subscripts(l: Loop) -> Optional[Tuple[int, ...]]:
+    """The subscripts of the loop's standard word read as an all-d word, or
+    None unless every letter of that word is a c or a d (a valid word never
+    mixes the two; an all-c word is read backwards)."""
+    if not expressible(l, "standard"):
+        return None
+    w = word_in(l, "standard")
+    fams = {x.family for x in w.letters}
+    if fams <= {"c"}:
+        w = w.reversal()
+    elif not fams <= {"d"}:
+        return None
+    return tuple(x.subscript for x in w.letters)
+
+
+def rational_longitude(loops) -> Optional["Slope"]:
     """The distinguished slope -chi_circle/chi_bullet, or None when both
     characteristics vanish (no rational-homology-solid-torus behaviour).
 
@@ -638,12 +637,10 @@ def rational_longitude(l) -> Optional["Slope"]:
     """
     from .twists import Slope
 
-    if isinstance(l, Loop):
+    slopes = set()
+    for l in as_loops(loops):
         cb, cc = euler_chars(l)
-        if cb == 0 and cc == 0:
-            return None
-        return Slope(-cc, cb)
-    slopes = {rational_longitude(x) for x in l}
+        slopes.add(None if cb == 0 and cc == 0 else Slope(-cc, cb))
     if len(slopes) != 1:
         raise WordError("components have different rational longitudes")
     return slopes.pop()
@@ -652,10 +649,3 @@ def rational_longitude(l) -> Optional["Slope"]:
 def mirror(l: Loop) -> Loop:
     """Negate every subscript (an involution on valid loops)."""
     return Loop.from_letters([x.negate() for x in l.word])
-
-
-def is_solid_torus_like(l: Loop) -> bool:
-    """Whether the loop lies in the twist orbit of an all-e word."""
-    from .detection import solid_torus_like
-
-    return solid_torus_like(l)

@@ -23,10 +23,12 @@ from .algebra import (
     GraphError,
     IDENT,
     grading,
-    is_lspace_complex,
     homology,
+    is_lspace_complex,
+    left_idem,
+    right_idem,
 )
-from .loops import Loop, word_to_graph
+from .loops import Loop, as_loops, word_to_graph
 from .twists import FillingResult, Slope, reparametrize
 
 _RELABEL = {"1": "3", "2": "2", "3": "1", "12": "32", "23": "21", "123": "321"}
@@ -56,8 +58,6 @@ class TypeAStructure:
     operations: Dict[Tuple[Hashable, Tuple[str, ...]], Set[Hashable]]
 
     def check(self) -> None:
-        from .algebra import left_idem, right_idem
-
         for (src, inputs), targets in self.operations.items():
             if not inputs:
                 raise GraphError("empty input sequence")
@@ -268,7 +268,6 @@ def box_tensor(
     a: TypeAStructure,
     d: DecoratedGraph,
     component: Hashable = 0,
-    check: bool = True,
     ops_trie: Optional[_Trie] = None,
 ) -> ChainComplexF2:
     """Chain complex of pairing a type A structure with a bounded graph.
@@ -276,8 +275,8 @@ def box_tensor(
     Generators x (x) y over matching idempotents with grading gr(x) + gr(y);
     differentials come from identity edges (one each) and from operation
     inputs matching directed label paths.  The component marker tags every
-    generator; d-squared and the grading flip are asserted unless check is
-    False.  ops_trie may pass a prebuilt trie of the operations' inputs.
+    generator; d-squared and the grading flip are asserted.  ops_trie may pass
+    a prebuilt trie of the operations' inputs.
     """
     if d.has_directed_cycle():
         raise GraphError("box tensor needs a bounded second factor")
@@ -335,8 +334,7 @@ def box_tensor(
                     for x2 in targets:
                         toggle((x, y), (x2, y2))
     cpx = ChainComplexF2(generators, diff)
-    if check:
-        cpx.check()
+    cpx.check()
     return cpx
 
 
@@ -353,12 +351,9 @@ def _merge_complex(parts: List[ChainComplexF2]) -> ChainComplexF2:
 
 def pair_complex(loops1, loops2) -> ChainComplexF2:
     """Chain complex of the pairing, one component per pair of loops."""
-    if isinstance(loops1, Loop):
-        loops1 = [loops1]
-    if isinstance(loops2, Loop):
-        loops2 = [loops2]
+    loops2 = as_loops(loops2)
     parts = []
-    for i, l1 in enumerate(loops1):
+    for i, l1 in enumerate(as_loops(loops1)):
         g1 = word_to_graph(l1.word)
         # walk enumeration only branches on larger graphs; the trie that
         # restricts it to sequences realized in the other factor costs a
@@ -395,17 +390,11 @@ def _solid_torus_module(max_len: int) -> Tuple[TypeAStructure, _Trie]:
 
 def fill_oracle(loops, s: Slope) -> FillingResult:
     """Filling computed by the pairing, not the fast rules."""
-    if isinstance(loops, Loop):
-        loops = [loops]
     per = []
-    for l in loops:
+    for l in as_loops(loops):
         d = make_bounded(word_to_graph(reparametrize(l, s).word))
         a, trie = _solid_torus_module(d.longest_path_edges())
-        cpx = box_tensor(a, d, ops_trie=trie)
-        res = homology(cpx)
+        res = homology(box_tensor(a, d, ops_trie=trie))
         (dim, _, _, chi) = next(iter(res.per_component.values()))
         per.append((dim, abs(chi)))
-    dim = sum(d for d, _ in per)
-    chi = sum(c for _, c in per)
-    ok = all(d == c != 0 for d, c in per)
-    return FillingResult(dim, chi, tuple(per), ok)
+    return FillingResult.from_counts(per)

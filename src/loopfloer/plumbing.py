@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .loops import Letter, Loop, LoopWord, expressible, word_in
-from .twists import Slope, fill
+from .detection import ex_on_ks
+from .loops import Letter, Loop, LoopWord, expressible, unstable_subscripts, word_in
+from .twists import FillingResult, Slope, ex, fill, twist
 
 
 class TreeError(ValueError):
@@ -174,15 +175,9 @@ def merge_loops(l1: Loop, l2: Loop) -> List[Loop]:
     a_l and b_l segments pass through, c_l becomes c_{l-k}, and d_l becomes
     d_{k+l} against a d_k segment of the first loop.
     """
-    if not expressible(l1, "standard"):
+    ks = unstable_subscripts(l1)
+    if ks is None:
         raise PipelineError("merge requires unstable side")
-    w1 = word_in(l1, "standard")
-    fams = {x.family for x in w1.letters}
-    if fams <= {"c"}:
-        w1 = w1.reversal()
-    elif not fams <= {"d"}:
-        raise PipelineError("merge requires unstable side")
-    ks = [x.subscript for x in w1.letters]
     if not expressible(l2, "standard"):
         return [l2] * len(ks)
     w2 = word_in(l2, "standard")
@@ -228,8 +223,6 @@ def _canon_key(t: PlumbingTree, v: int, parent: Optional[int]):
 
 
 def _tw_internal(l: _Internal, n: int) -> _Internal:
-    from .twists import twist
-
     if l[0] == "estar" or n == 0:
         return l
     if l[0] == "d":
@@ -238,9 +231,6 @@ def _tw_internal(l: _Internal, n: int) -> _Internal:
 
 
 def _ex_internal(l: _Internal) -> _Internal:
-    from .detection import ex_on_ks
-    from .twists import ex
-
     if l[0] == "estar":
         return ("d", (0,) * l[1])
     if l[0] == "loop":
@@ -259,13 +249,8 @@ def _ex_internal(l: _Internal) -> _Internal:
 def _classify_loop(l: Loop) -> _Internal:
     if not expressible(l, "standard"):
         return ("estar", len(word_in(l, "dual")))
-    w = word_in(l, "standard")
-    fams = {x.family for x in w.letters}
-    if fams <= {"d"}:
-        return ("d", tuple(x.subscript for x in w.letters))
-    if fams <= {"c"}:
-        return ("d", tuple(x.subscript for x in w.reversal().letters))
-    return ("loop", l)
+    ks = unstable_subscripts(l)
+    return ("loop", l) if ks is None else ("d", ks)
 
 
 def _eval_subtree(t: PlumbingTree, v: int, weight: int, children: List[int],
@@ -318,8 +303,7 @@ def _dual_fill_counts(l: _Internal) -> Tuple[int, int]:
     if l[0] == "estar":
         return l[1], l[1]  # dual word is (e*)^n: n circles, no stable chains
     if l[0] == "loop":
-        res = fill(l[1], Slope(0, 1))
-        return res.per_loop[0]
+        return fill(l[1], Slope(0, 1)).per_loop[0]
     ks = l[1]
     if all(k == 0 for k in ks):
         return 2, 0  # all-e word has no dual notation
@@ -345,11 +329,9 @@ def hf_dim_closed(t: PlumbingTree, use_fast: bool = True) -> Tuple[int, bool]:
         attach = min(t.weights, key=lambda v: (-len(adj[v]), v))
     loops = cfd_internal(t.with_boundary(attach))
     if use_fast:
-        per = [_dual_fill_counts(l) for l in loops]
-        dim = sum(d for d, _ in per)
-        ok = all(d == c != 0 for d, c in per)
-        return dim, ok
-    res = fill([_internal_to_loop(l) for l in loops], Slope(0, 1))
+        res = FillingResult.from_counts(_dual_fill_counts(l) for l in loops)
+    else:
+        res = fill([_internal_to_loop(l) for l in loops], Slope(0, 1))
     return res.dim, res.is_lspace
 
 

@@ -15,8 +15,9 @@ trefoil-complement family:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ from .loops import (
     Loop,
     LoopWord,
     NotExpressible,
+    as_loops,
     euler_chars,
     expressible,
     word_in,
@@ -150,17 +152,22 @@ def _mat_mul(a, b):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwistWord:
-    """A composite of tw/du/ex moves, applied left to right."""
+    """A composite of tw/du/ex moves, applied left to right; tw^0 and du^0
+    are dropped."""
 
-    ops: List[Tuple[str, int]] = field(default_factory=list)
+    ops: Tuple[Tuple[str, int], ...] = ()
 
-    def append(self, kind: str, n: int = 1) -> None:
-        if kind not in ("tw", "du", "ex"):
-            raise ValueError(f"unknown operation {kind!r}")
-        if n != 0 or kind == "ex":
-            self.ops.append((kind, n))
+    def __post_init__(self):
+        for kind, _ in self.ops:
+            if kind not in ("tw", "du", "ex"):
+                raise ValueError(f"unknown operation {kind!r}")
+        object.__setattr__(self, "ops", tuple((k, n) for k, n in self.ops if n or k == "ex"))
+
+    def then(self, *ops: Tuple[str, int]) -> "TwistWord":
+        """This word followed by the given (kind, power) moves."""
+        return TwistWord(self.ops + ops)
 
     def matrix(self):
         m = ((1, 0), (0, 1))
@@ -188,25 +195,18 @@ class TwistWord:
         return l
 
     def inverse(self) -> "TwistWord":
-        out = TwistWord()
+        out: List[Tuple[str, int]] = []
         for kind, n in reversed(self.ops):
-            if kind == "ex":
-                # ex^{-1} = tw^{-1} du tw^{-1}
-                out.append("tw", -1)
-                out.append("du", 1)
-                out.append("tw", -1)
-            else:
-                out.append(kind, -n)
-        return out
+            # ex^{-1} = tw^{-1} du tw^{-1}
+            out += [("tw", -1), ("du", 1), ("tw", -1)] if kind == "ex" else [(kind, -n)]
+        return TwistWord(tuple(out))
 
     def __str__(self):
         return " ".join(f"{k}^{n}" if k != "ex" else "ex" for k, n in self.ops) or "id"
 
 
 def twist(l: Loop, kind: str, n: int = 1) -> Loop:
-    """Apply tw^n or du^n; kinds 'tw-1'/'du-1' negate n for convenience."""
-    if kind in ("tw-1", "du-1"):
-        kind, n = kind[:2], -n
+    """Apply tw^n or du^n."""
     if kind not in ("tw", "du"):
         raise ValueError(f"unknown twist kind {kind!r}")
     if n == 0:
@@ -235,23 +235,12 @@ def ex(l: Loop) -> Loop:
     ))
 
 
-def ex_composite(l: Loop) -> Loop:
-    """ex computed from its definition; used to cross-check `ex`."""
-    return twist(twist(twist(l, "tw", 1), "du", -1), "tw", 1)
-
-
 def reparametrization_word(s: Slope) -> TwistWord:
     """Twists taking the slope s to infinity (empty for s = infinity)."""
-    w = TwistWord()
     if s.is_infinite:
-        return w
+        return TwistWord()
     terms = continued_fraction(s, "even")
-    for i, a in enumerate(terms):
-        w.append("tw" if i % 2 == 0 else "du", a)
-    return w
-
-
-from functools import lru_cache
+    return TwistWord(tuple(("tw" if i % 2 == 0 else "du", a) for i, a in enumerate(terms)))
 
 
 @lru_cache(maxsize=16384)
@@ -276,30 +265,28 @@ class FillingResult:
     per_loop: Tuple[Tuple[int, int], ...]
     is_lspace: bool
 
+    @staticmethod
+    def from_counts(per) -> "FillingResult":
+        """The filling of a loop set from its per-loop (dim, |chi|) counts: an
+        L-space exactly when every loop has dim = |chi| > 0."""
+        per = tuple(per)
+        return FillingResult(sum(d for d, _ in per), sum(c for _, c in per), per,
+                             all(d == c != 0 for d, c in per))
+
     def __str__(self):
         return f"dim={self.dim} chi={self.chi_abs} lspace={'yes' if self.is_lspace else 'no'}"
 
 
-def _count_standard_filling(l: Loop) -> Tuple[int, int]:
-    """(dim, |chi|) of the infinity filling of a single loop."""
-    if not expressible(l, "standard"):
+def _count_filling(l: Loop, alphabet: str) -> Tuple[int, int]:
+    """(dim, |chi|) of the infinity ('standard') or zero ('dual') filling of
+    a single loop."""
+    if not expressible(l, alphabet):
         return 2, 0  # two generators of opposite grading
-    w = word_in(l, "standard")
-    n_bullet = len(w)
-    n_a = sum(1 for x in w.letters if x.family == "a")
-    chi_b, _ = euler_chars(l)
-    return n_bullet - 2 * n_a, abs(chi_b)
-
-
-def _count_dual_filling(l: Loop) -> Tuple[int, int]:
-    """(dim, |chi|) of the zero filling of a single loop."""
-    if not expressible(l, "dual"):
-        return 2, 0
-    w = word_in(l, "dual")
-    n_circle = len(w)
-    n_bstar = sum(1 for x in w.letters if x.family == "b")
-    _, chi_c = euler_chars(l)
-    return n_circle - 2 * n_bstar, abs(chi_c)
+    w = word_in(l, alphabet)
+    dual = alphabet == "dual"
+    cancelling = "b" if dual else "a"
+    n_cancelling = sum(1 for x in w.letters if x.family == cancelling)
+    return len(w) - 2 * n_cancelling, abs(euler_chars(l)[dual])
 
 
 def fill(loops, s: Slope) -> FillingResult:
@@ -309,15 +296,8 @@ def fill(loops, s: Slope) -> FillingResult:
     generators are the i0 vertices, with one cancelling differential per
     a-family chain; at slope zero the symmetric dual-side count is used.
     """
-    if isinstance(loops, Loop):
-        loops = [loops]
-    per = []
-    for l in loops:
-        if s == ZERO_SLOPE:
-            per.append(_count_dual_filling(l))
-        else:
-            per.append(_count_standard_filling(reparametrize(l, s)))
-    dim = sum(d for d, _ in per)
-    chi = sum(c for _, c in per)
-    ok = all(d == c != 0 for d, c in per)
-    return FillingResult(dim, chi, tuple(per), ok)
+    return FillingResult.from_counts(
+        _count_filling(l, "dual") if s == ZERO_SLOPE
+        else _count_filling(reparametrize(l, s), "standard")
+        for l in as_loops(loops)
+    )

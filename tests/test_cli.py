@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ def invoke(capsys, *argv):
 def poincare_file(tmp_path):
     p = tmp_path / "poincare.tree"
     p.write_text(POINCARE)
-    return str(p)
+    return "@" + str(p)
 
 
 def test_hf_command(capsys, poincare_file):
@@ -39,7 +40,7 @@ def test_hf_json_and_oracle(capsys, poincare_file):
 def test_cfd_command(capsys, tmp_path):
     p = tmp_path / "gamma_n.tree"
     p.write_text("v 0 0\nv 1 0\nv 2 2\nv 3 -2\ne 0 1\ne 1 2\ne 1 3\nb 0\n")
-    code, out, _ = invoke(capsys, "cfd", str(p))
+    code, out, _ = invoke(capsys, "cfd", "@" + str(p))
     assert code == 0
     # canonical spellings of (e* e*) and (d*1 d*-1)
     assert out == "(c*0 c*0) | (a-1 b-1)"
@@ -140,6 +141,48 @@ def test_domain_errors(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["fill"]) == 2
     assert run([]) == 2
+
+
+BAD_INPUTS = [
+    # (argv, exit code, start of the JSON reason; None for usage errors)
+    (["fill", "(a1 q2)", "1/0"], 1, "bad loop input"),
+    (["fill", "(e)", "1/0/2"], 1, "bad slope"),
+    (["fill", "(e)", "0/0"], 1, "bad slope"),
+    (["cfd", "v 0 x"], 1, "bad tree input"),
+    (["cfd", "v 0 1"], 1, "cfd needs a tree with a boundary half-edge"),
+    (["cfd", "v 0 -1\nv 1 0\nv 2 0\nv 3 -2\ne 0 1\ne 0 2\ne 0 3\nb 0"], 1, "merge requires"),
+    (["hf", "v 0 0\nv 1 0\ne 0 1"], 1, "2 bad vertices"),
+    (["twist", "(e)", "tw^2", "spin"], 1, "unknown twist operation 'spin'"),
+    (["twist", "(e)", "du^1.5"], 1, "bad power in twist operation 'du^1.5'"),
+    (["census", "--family", "lens", "--range", "2..3"], 1, "unknown census family"),
+    (["census", "--family", "nt", "--range", "2..1"], 1, "bad range"),
+    (["fill", "@no-such-file.txt", "1/0"], 1, "cannot read 'no-such-file.txt'"),
+    (["fill", "(e)"], 2, None),
+    (["census", "--family", "nt"], 2, None),
+    (["--format", "yaml", "fill", "(e)", "1/0"], 2, None),
+    (["spin", "(e)"], 2, None),
+]
+
+
+@pytest.mark.parametrize("argv,code,reason", BAD_INPUTS)
+def test_bad_input_exit_codes(capsys, monkeypatch, tmp_path, argv, code, reason):
+    monkeypatch.chdir(tmp_path)
+    got, out, err = invoke(capsys, *argv)
+    assert got == code and out == ""
+    assert "Traceback" not in err
+    if reason is not None:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(reason)
+
+
+def test_inline_text_is_never_a_path(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e").write_text("(e*)\n")
+    assert invoke(capsys, "fill", "e", "inf") == (0, "dim=1 chi=1 lspace=yes", "")
+    assert invoke(capsys, "fill", "@e", "inf") == (0, "dim=2 chi=0 lspace=no", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(e*)\n"))
+    assert invoke(capsys, "fill", "-", "inf") == (0, "dim=2 chi=0 lspace=no", "")
 
 
 def test_runtime_does_not_import_numpy():

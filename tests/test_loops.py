@@ -10,11 +10,10 @@ from loopfloer.loops import (
     WordError,
     canonicalize,
     dual_word,
-    format_word,
     graph_to_words,
     parse_loops,
     parse_word,
-    validate,
+    unstable_subscripts,
     word_in,
     word_to_graph,
     word_violations,
@@ -24,7 +23,7 @@ from loopfloer.loops import (
 def test_parse_and_format_roundtrip():
     for text in ["a1 b1 c-2", "e", "e*", "d*1 d*0 d*0", "c0 c0", "a-3 b2 a1 b-1"]:
         w = parse_word(text)
-        assert parse_word(format_word(w)) == w
+        assert parse_word(str(w)) == w
 
 
 def test_parse_rejects_bad_tokens():
@@ -49,7 +48,7 @@ def test_validate_examples():
     assert not word_violations((Letter("c", 1),))
     assert word_violations((Letter("a", 1),))
     assert not word_violations(parse_word("a1 b1 c-2").letters)
-    assert validate(parse_word("d3")) == []
+    assert word_violations(parse_word("d3").letters) == []
 
 
 def test_canonicalize_rotation_and_reversal():
@@ -272,6 +271,15 @@ def words(draw, max_len=12, max_sub=5):
     return LoopWord(letters)
 
 
+@st.composite
+def unstable_words(draw, max_len=8, max_sub=5):
+    """All-c or all-d words in either alphabet."""
+    fam = draw(st.sampled_from("cd"))
+    star = draw(st.booleans())
+    subs = draw(st.lists(st.integers(-max_sub, max_sub), min_size=1, max_size=max_len))
+    return LoopWord([Letter(fam, k, star) for k in subs])
+
+
 def _graph_word(w, alphabet):
     try:
         return canonicalize(graph_to_words(word_to_graph(w), alphabet)[0])
@@ -338,3 +346,19 @@ def test_fast_path_builds_no_graph(monkeypatch):
     poincare = PlumbingTree({0: -1, 1: -2, 2: -3, 3: -5}, [(0, 1), (0, 2), (0, 3)], None)
     assert hf_dim_closed(poincare) == (1, True)
     assert cli._census_row(5, False)["dual_fill_dim"] == 25
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(words(), unstable_words()))
+def test_unstable_subscripts_reads_all_unstable_words(w):
+    from loopfloer.detection import loop_from_ks
+
+    l = Loop(w)
+    ks = unstable_subscripts(l)
+    try:
+        fams = {x.family for x in word_in(l, "standard").letters}
+    except NotExpressible:
+        fams = None
+    assert (ks is not None) == (fams is not None and fams <= {"c", "d"})
+    if ks is not None:
+        assert loop_from_ks(ks) == l

@@ -19,7 +19,6 @@ from loopfloer.twists import (
     TwistWord,
     ZERO_SLOPE,
     cf_value,
-    ex_composite,
     reparametrization_word,
 )
 from conftest import small_slopes
@@ -81,8 +80,9 @@ def test_ex_examples():
 
 
 def test_ex_matches_composite(corpus):
+    # ex from its definition: tw, then du^-1, then tw
     for loop in corpus:
-        assert ex(loop) == ex_composite(loop), str(loop)
+        assert ex(loop) == twist(twist(twist(loop, "tw", 1), "du", -1), "tw", 1), str(loop)
 
 
 def test_ex_squared():
@@ -140,6 +140,20 @@ def test_twistword_matrix_consistency():
     # the framed-chain calibration: the dual slope of the start becomes 7/2
     assert w.transfer(ZERO_SLOPE) == Slope(7, 2)
     assert w.inverse().transfer(Slope(7, 2)) == ZERO_SLOPE
+
+
+def test_twistword_is_immutable():
+    from dataclasses import FrozenInstanceError
+
+    from loopfloer.detection import all_unstable_form
+
+    w = all_unstable_form(Loop.from_text("a1 b1 c-2"))[1]
+    assert isinstance(w.ops, tuple)
+    with pytest.raises(FrozenInstanceError):
+        w.ops = ()
+    assert w.then(("tw", 0), ("ex", 1)).ops == w.ops + (("ex", 1),)
+    with pytest.raises(ValueError):
+        w.then(("twist", 1))
 
 
 def test_ex_transfer_is_rotation():
