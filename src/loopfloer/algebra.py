@@ -62,6 +62,12 @@ def grading(a: str) -> int:
 
 IDENT = None  # label of an identity edge in a decorated graph
 
+# the (source, target) vertex idempotents of an edge labeled rho_I, and the
+# change of relative grading along an edge: 1 - gr(rho_I), or a flip for an
+# identity edge
+_EDGE_IDEMS = {a: (_LEFT[a][1], _RIGHT[a][1]) for a in RHOS}
+_EDGE_FLIP = {IDENT: 1, **{a: 1 - grading(a) for a in RHOS}}
+
 
 class GraphError(ValueError):
     pass
@@ -92,16 +98,16 @@ class DecoratedGraph:
 
     def check(self) -> None:
         """Raise unless every edge is idempotent-compatible."""
+        vertices = self.vertices
         for src, tgt, label in self.edges:
-            if src not in self.vertices or tgt not in self.vertices:
+            si, ti = vertices.get(src), vertices.get(tgt)
+            if si is None or ti is None:
                 raise GraphError(f"dangling edge {(src, tgt, label)}")
-            si, ti = self.vertices[src], self.vertices[tgt]
             if label is IDENT:
                 if si != ti:
                     raise GraphError("identity edge between distinct idempotents")
-            else:
-                if left_idem(label) != "i" + si or right_idem(label) != "i" + ti:
-                    raise GraphError(f"edge label {label} incompatible with {si}->{ti}")
+            elif _EDGE_IDEMS.get(label) != (si, ti):
+                raise GraphError(f"edge label {label} incompatible with {si}->{ti}")
 
     def is_reduced(self) -> bool:
         return all(label is not IDENT for _, _, label in self.edges)
@@ -138,23 +144,28 @@ class DecoratedGraph:
         gr: Dict[Hashable, int] = {}
         incident: Dict[Hashable, List[Tuple[Hashable, int]]] = {v: [] for v in self.vertices}
         for s, t, label in self.edges:
-            flip = 1 if label is IDENT else (1 - grading(label)) % 2
+            flip = _EDGE_FLIP[label]
             incident[s].append((t, flip))
             incident[t].append((s, flip))
-        for comp in self.components():
-            base = min(comp)
-            gr[base] = 0
-            stack = [base]
-            while stack:
-                u = stack.pop()
+        for root in self.vertices:
+            if root in gr:
+                continue
+            # grade the component from its first vertex, then shift it so
+            # that its smallest vertex sits at 0
+            gr[root] = 0
+            comp = [root]
+            for u in comp:  # grows while it is walked
                 for w, flip in incident[u]:
-                    g = (gr[u] + flip) % 2
+                    g = gr[u] ^ flip
                     if w in gr:
                         if gr[w] != g:
                             raise GraphError("inconsistent relative grading")
                     else:
                         gr[w] = g
-                        stack.append(w)
+                        comp.append(w)
+            if gr[min(comp)]:
+                for v in comp:
+                    gr[v] ^= 1
         return gr
 
     def _topological_order(self):
@@ -168,8 +179,9 @@ class DecoratedGraph:
         order = [v for v, d in indeg.items() if d == 0]
         for v in order:  # grows while it is walked
             for t in outs[v]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
+                d = indeg[t] - 1
+                indeg[t] = d
+                if not d:
                     order.append(t)
         return order, outs
 
@@ -181,10 +193,12 @@ class DecoratedGraph:
         order, outs = self._topological_order()
         if len(order) != len(self.vertices):
             raise GraphError("graph has a directed cycle")
-        dist = {v: 0 for v in self.vertices}
+        dist = dict.fromkeys(self.vertices, 0)
         for v in order:
+            dt = dist[v] + 1
             for t in outs[v]:
-                dist[t] = max(dist[t], dist[v] + 1)
+                if dist[t] < dt:
+                    dist[t] = dt
         return max(dist.values(), default=0)
 
     def copy(self) -> "DecoratedGraph":

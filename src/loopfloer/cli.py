@@ -24,6 +24,7 @@ from .loops import (
     parse_loops,
     parse_word,
     rational_longitude,
+    split_loops,
     word_in,
 )
 from .oracle import fill_oracle, pair_is_lspace
@@ -186,11 +187,9 @@ def _cmd_glue(args) -> None:
 
 def _cmd_dualize(args) -> None:
     # rewrite each input word in the alphabet it was not given in
-    text = _read_input(args.loops)
-    text = " ".join(line.split("#")[0] for line in text.splitlines())
     out = []
     try:
-        for part in (p for p in text.split("|") if p.strip()):
+        for part in split_loops(_read_input(args.loops)):
             w = parse_word(part)
             other = "standard" if w.star else "dual"
             out.append(word_in(Loop(w), other))

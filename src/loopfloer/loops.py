@@ -252,18 +252,19 @@ def parse_word(text: str) -> LoopWord:
     return LoopWord(letters)
 
 
-def parse_loops(text: str) -> List[Loop]:
-    """Parse '|'-separated loops; '#' starts a comment."""
-    lines = []
-    for line in text.splitlines():
-        if "#" in line:
-            line = line[: line.index("#")]
-        lines.append(line)
-    text = " ".join(lines)
+def split_loops(text: str) -> List[str]:
+    """The texts of the '|'-separated loops of an input; '#' starts a
+    comment."""
+    text = " ".join(line.split("#")[0] for line in text.splitlines())
     parts = [p for p in text.split("|") if p.strip()]
     if not parts:
         raise WordError("no loops in input")
-    return [Loop.from_text(p) for p in parts]
+    return parts
+
+
+def parse_loops(text: str) -> List[Loop]:
+    """Parse '|'-separated loops; '#' starts a comment."""
+    return [Loop.from_text(p) for p in split_loops(text)]
 
 
 def format_loops(loops: Sequence[Loop]) -> str:

@@ -5,19 +5,26 @@ The right-module structure of a reduced decorated graph is obtained by
 relabelling each edge with subscripts 1 <-> 3 swapped (2 fixed), then reading
 every directed walk: the concatenated digit string of a walk is re-parsed
 greedily into maximal increasing runs, which are the algebra inputs of one
-multiplication.  Pairing a type A structure with a bounded graph gives a
-chain complex whose differential matches operation inputs against directed
-label paths, plus one differential per identity edge.  All multiplicities
-are mod 2.
+multiplication.  A walk is parsed as it grows, one label at a time.  Pairing
+a type A structure with a bounded graph gives a chain complex whose
+differential matches operation inputs against directed label paths, plus one
+differential per identity edge.  All multiplicities are mod 2.
+
+`fill_oracle` shares no route with the fast filling past the alphabet
+conversion: it runs the twist chain of the reparametrization on raw words,
+never canonicalizing and never building a `Loop`, and pairs the result with
+the type A module of the standard solid torus, written in closed form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from .algebra import (
+    RHOS,
     ChainComplexF2,
     DecoratedGraph,
     GraphError,
@@ -28,25 +35,47 @@ from .algebra import (
     left_idem,
     right_idem,
 )
-from .loops import Loop, as_loops, word_to_graph
-from .twists import FillingResult, Slope, reparametrize
+from .loops import Loop, LoopWord, _other_letters, as_loops, word_to_graph
+from .twists import FillingResult, Slope, reparametrization_word, shift_cd
 
 _RELABEL = {"1": "3", "2": "2", "3": "1", "12": "32", "23": "21", "123": "321"}
 
 
-def _parse_runs(digits: str) -> Tuple[str, ...]:
-    """Split a digit string into maximal increasing runs of consecutive
-    digits; each run is one torus-algebra element."""
-    runs: List[str] = []
-    cur = digits[0]
-    for d in digits[1:]:
-        if ord(d) == ord(cur[-1]) + 1:
-            cur += d
+def _append_label(run: str, label: str) -> Tuple[Tuple[str, ...], str]:
+    """Append a label's digits to a walk's open run: the runs this closes
+    and the new open run.  Runs are maximal increasing runs of consecutive
+    digits; each is one torus-algebra element."""
+    closed: List[str] = []
+    for d in label:
+        if run and ord(d) == ord(run[-1]) + 1:
+            run += d
         else:
-            runs.append(cur)
-            cur = d
-    runs.append(cur)
-    return tuple(runs)
+            if run:
+                closed.append(run)
+            run = d
+    return tuple(closed), run
+
+
+# (open run, relabelled edge label) -> (closed runs, new open run)
+_STEPS = {(run, label): _append_label(run, label)
+          for run in ("",) + RHOS for label in _RELABEL.values()}
+
+
+class _Trie:
+    """A trie node over algebra inputs; ops holds (source, targets) of the
+    operations whose inputs end here."""
+
+    __slots__ = ("children", "ops")
+
+    def __init__(self):
+        self.children: Dict[str, "_Trie"] = {}
+        self.ops: List[Tuple[Hashable, Set[Hashable]]] = []
+
+    def child(self, a: str) -> "_Trie":
+        node = self.children.get(a)
+        if node is None:
+            node = self.children[a] = _Trie()
+        return node
 
 
 @dataclass
@@ -58,48 +87,52 @@ class TypeAStructure:
     operations: Dict[Tuple[Hashable, Tuple[str, ...]], Set[Hashable]]
 
     def check(self) -> None:
+        """Raise unless each operation's inputs chain idempotents from its
+        source to its targets and each target has the grading the rule
+        gives.  Operations that share a prefix of inputs share its walk."""
+        # per left idempotent, a trie of input prefixes: input ->
+        # (child, right idempotent, summed grading of the prefix)
+        roots: Dict[str, dict] = {"i0": {}, "i1": {}}
         for (src, inputs), targets in self.operations.items():
             if not inputs:
                 raise GraphError("empty input sequence")
-            idem = "i" + self.generators[src][0]
+            idem_src, gr_src = self.generators[src]
+            idem = "i" + idem_src
+            node, gr = roots[idem], 0
             for a in inputs:
-                if left_idem(a) != idem:
-                    raise GraphError(f"idempotent mismatch in {inputs}")
-                idem = right_idem(a)
+                step = node.get(a)
+                if step is None:
+                    if left_idem(a) != idem:
+                        raise GraphError(f"idempotent mismatch in {inputs}")
+                    step = node[a] = ({}, right_idem(a), gr + grading(a))
+                node, idem, gr = step
+            want = (gr_src + gr + len(inputs) + 1) % 2
             for t in targets:
                 if "i" + self.generators[t][0] != idem:
                     raise GraphError(f"target idempotent mismatch in {inputs}")
-                want = (
-                    self.generators[src][1]
-                    + sum(grading(a) for a in inputs)
-                    + len(inputs)
-                    + 1
-                ) % 2
                 if self.generators[t][1] != want:
                     raise GraphError("operation violates the grading rule")
 
-
-class _Trie:
-    __slots__ = ("children", "accept")
-
-    def __init__(self):
-        self.children: Dict[str, "_Trie"] = {}
-        self.accept = False
-
-    def insert(self, seq: Sequence[str]) -> None:
-        node = self
-        for a in seq:
-            node = node.children.setdefault(a, _Trie())
-        node.accept = True
+    @cached_property
+    def trie(self) -> _Trie:
+        """The operations in a trie of their inputs, built on first use."""
+        root = _Trie()
+        for (src, inputs), targets in self.operations.items():
+            node = root
+            for a in inputs:
+                node = node.child(a)
+            node.ops.append((src, targets))
+        return root
 
 
+# the runs a walk's open run can still grow into
 _COMPLETIONS = {
-    "1": ("1", "12", "123"),
-    "2": ("2", "23"),
-    "3": ("3",),
-    "12": ("12", "123"),
-    "23": ("23",),
-    "123": ("123",),
+    "1": frozenset(("1", "12", "123")),
+    "2": frozenset(("2", "23")),
+    "3": frozenset(("3",)),
+    "12": frozenset(("12", "123")),
+    "23": frozenset(("23",)),
+    "123": frozenset(("123",)),
 }
 
 
@@ -119,28 +152,11 @@ def label_path_trie(g: DecoratedGraph) -> _Trie:
         while stack:
             node, edges = stack[-1]
             for t, lab in edges:
-                child = node.children.setdefault(lab, _Trie())
-                child.accept = True
-                stack.append((child, iter(outs[t])))
+                stack.append((node.child(lab), iter(outs[t])))
                 break
             else:
                 stack.pop()
     return trie
-
-
-def _prefix_alive(digits: str, trie: Optional[_Trie]) -> bool:
-    """Whether some extension of the digit string can parse into a label
-    sequence present in the trie.  Monotone in the digit string, so pruning
-    by it preserves mod-2 walk counts of every surviving operation."""
-    if trie is None:
-        return True
-    tokens = _parse_runs(digits)
-    node = trie
-    for tok in tokens[:-1]:
-        node = node.children.get(tok)
-        if node is None:
-            return False
-    return any(c in node.children for c in _COMPLETIONS[tokens[-1]])
 
 
 def to_type_a(
@@ -152,7 +168,9 @@ def to_type_a(
     Gradings: the graph's relative grading with every i0 generator flipped,
     which is the grading the pairing theorem expects on the A side.  An
     optional trie of label paths restricts generation to operations that can
-    pair with a given bounded type D side.
+    pair with a given bounded type D side: a walk is dropped once no
+    extension of its runs can be read along the trie, which keeps the mod-2
+    walk counts of every surviving operation.
     """
     if not g.is_reduced():
         raise GraphError("type A conversion requires a reduced graph")
@@ -164,26 +182,35 @@ def to_type_a(
     outs: Dict[Hashable, List[Tuple[Hashable, str]]] = {v: [] for v in g.vertices}
     for s, t, label in g.edges:
         outs[s].append((t, _RELABEL[label]))
-    # walks of more than 3*max_len digits cannot parse into <= max_len inputs
-    digit_cap = 3 * max_len
     ops: Counter = Counter()
     for start in g.vertices:
-        stack: List[Tuple[Hashable, str]] = [(start, "")]
+        # a walk: its end, its finished runs, its open run, and the match
+        # trie's node after the finished runs; a walk with max_len finished
+        # runs can no longer end an operation of at most max_len inputs
+        stack: List[Tuple[Hashable, Tuple[str, ...], str, Optional[_Trie]]] = [
+            (start, (), "", match_trie)]
         while stack:
-            v, digits = stack.pop()
-            if digits:
-                inputs = _parse_runs(digits)
-                if len(inputs) <= max_len:
-                    ops[(start, inputs, v)] += 1
+            v, runs, run, node = stack.pop()
+            if run:
+                ops[(start, runs + (run,), v)] += 1
             for t, lab in outs[v]:
-                nd = digits + lab
-                if len(nd) <= digit_cap and _prefix_alive(nd, match_trie):
-                    stack.append((t, nd))
+                closed, nrun = _STEPS[run, lab]
+                nruns = runs + closed if closed else runs
+                if len(nruns) >= max_len:
+                    continue
+                nnode = node
+                if node is not None:
+                    for r in closed:
+                        nnode = nnode.children.get(r)
+                        if nnode is None:
+                            break
+                    if nnode is None or _COMPLETIONS[nrun].isdisjoint(nnode.children):
+                        continue
+                stack.append((t, nruns, nrun, nnode))
     operations: Dict[Tuple[Hashable, Tuple[str, ...]], Set[Hashable]] = {}
     for (src, inputs, tgt), count in ops.items():
         if count % 2:
             operations.setdefault((src, inputs), set()).add(tgt)
-    operations = {k: v for k, v in operations.items() if v}
     a = TypeAStructure(gens, operations)
     a.check()
     return a
@@ -264,53 +291,27 @@ def _find_directed_cycle(g: DecoratedGraph) -> List[int]:
     raise GraphError("no directed cycle")
 
 
-def box_tensor(
-    a: TypeAStructure,
-    d: DecoratedGraph,
-    component: Hashable = 0,
-    ops_trie: Optional[_Trie] = None,
-) -> ChainComplexF2:
+def box_tensor(a: TypeAStructure, d: DecoratedGraph, component: Hashable = 0) -> ChainComplexF2:
     """Chain complex of pairing a type A structure with a bounded graph.
 
     Generators x (x) y over matching idempotents with grading gr(x) + gr(y);
     differentials come from identity edges (one each) and from operation
-    inputs matching directed label paths.  The component marker tags every
-    generator; d-squared and the grading flip are asserted.  ops_trie may pass
-    a prebuilt trie of the operations' inputs.
+    inputs matching directed label paths, found by walking the graph through
+    the trie of the operations' inputs.  The component marker tags every
+    generator; d-squared and the grading flip are asserted.
     """
     if d.has_directed_cycle():
         raise GraphError("box tensor needs a bounded second factor")
     gr_d = d.gradings()
-    trie = ops_trie
-    if trie is None:
-        trie = _Trie()
-        for (src, inputs) in a.operations:
-            trie.insert(inputs)
-    outs: Dict[Hashable, List[Tuple[Hashable, Optional[str]]]] = {v: [] for v in d.vertices}
-    for s, t, label in d.edges:
-        outs[s].append((t, label))
-    # label paths from every vertex, pruned by the union of operation inputs
-    paths: Dict[Hashable, List[Tuple[Tuple[str, ...], Hashable]]] = {}
-    for y in d.vertices:
-        found: List[Tuple[Tuple[str, ...], Hashable]] = []
-        stack: List[Tuple[Hashable, _Trie, Tuple[str, ...]]] = [(y, trie, ())]
-        while stack:
-            v, node, labels = stack.pop()
-            if node.accept:
-                found.append((labels, v))
-            for t, label in outs[v]:
-                if label is IDENT:
-                    continue
-                child = node.children.get(label)
-                if child is not None:
-                    stack.append((t, child, labels + (label,)))
-        paths[y] = found
-    generators: List[Tuple[Hashable, int, Hashable]] = []
-    for x, (idem_x, gr_x) in a.generators.items():
-        for y, idem_y in d.vertices.items():
-            if idem_x == idem_y:
-                generators.append(((x, y), (gr_x + gr_d[y]) % 2, component))
-    gen_set = {gid for gid, _, _ in generators}
+    generators: List[Tuple[Hashable, int, Hashable]] = [
+        ((x, y), (gr_x + gr_d[y]) % 2, component)
+        for x, (idem_x, gr_x) in a.generators.items()
+        for y, idem_y in d.vertices.items()
+        if idem_x == idem_y
+    ]
+    by_idem: Dict[str, List[Hashable]] = {"0": [], "1": []}
+    for x, (idem_x, _) in a.generators.items():
+        by_idem[idem_x].append(x)
     diff: Set[Tuple[Hashable, Hashable]] = set()
 
     def toggle(s, t):
@@ -319,20 +320,26 @@ def box_tensor(
         else:
             diff.add((s, t))
 
+    outs: Dict[Hashable, List[Tuple[Hashable, str]]] = {v: [] for v in d.vertices}
     for s, t, label in d.edges:
         if label is IDENT:
-            for x in a.generators:
-                if (x, s) in gen_set:
-                    toggle((x, s), (x, t))
-    for x in a.generators:
-        for y, idem_y in d.vertices.items():
-            if (x, y) not in gen_set:
-                continue
-            for labels, y2 in paths[y]:
-                targets = a.operations.get((x, labels))
-                if targets:
-                    for x2 in targets:
-                        toggle((x, y), (x2, y2))
+            for x in by_idem[d.vertices[s]]:
+                toggle((x, s), (x, t))
+        else:
+            outs[s].append((t, label))
+    # a label path from y spelling the inputs of an operation of x starts
+    # and ends in the idempotents of x and its targets
+    for y in d.vertices:
+        stack = [(y, a.trie)]
+        while stack:
+            v, node = stack.pop()
+            for x, targets in node.ops:
+                for x2 in targets:
+                    toggle((x, y), (x2, v))
+            for t, label in outs[v]:
+                child = node.children.get(label)
+                if child is not None:
+                    stack.append((t, child))
     cpx = ChainComplexF2(generators, diff)
     cpx.check()
     return cpx
@@ -351,18 +358,20 @@ def _merge_complex(parts: List[ChainComplexF2]) -> ChainComplexF2:
 
 def pair_complex(loops1, loops2) -> ChainComplexF2:
     """Chain complex of the pairing, one component per pair of loops."""
-    loops2 = as_loops(loops2)
+    graphs1 = [word_to_graph(l.word) for l in as_loops(loops1)]
+    # walk enumeration only branches on larger graphs; the trie that
+    # restricts it to sequences realized in the other factor costs a full
+    # path enumeration there, so tiny modules go without it
+    small = [len(g.vertices) <= 6 for g in graphs1]
+    sides = []
+    for l2 in as_loops(loops2):
+        d = make_bounded(word_to_graph(l2.word))
+        trie = None if all(small) else label_path_trie(d)
+        sides.append((d, d.longest_path_edges(), trie))
     parts = []
-    for i, l1 in enumerate(as_loops(loops1)):
-        g1 = word_to_graph(l1.word)
-        # walk enumeration only branches on larger graphs; the trie that
-        # restricts it to sequences realized in the other factor costs a
-        # full path enumeration there, so skip it for tiny modules
-        small = len(g1.vertices) <= 6
-        for j, l2 in enumerate(loops2):
-            d = make_bounded(word_to_graph(l2.word))
-            trie = None if small else label_path_trie(d)
-            a = to_type_a(g1, max_len=d.longest_path_edges(), match_trie=trie)
+    for i, g1 in enumerate(graphs1):
+        for j, (d, longest, trie) in enumerate(sides):
+            a = to_type_a(g1, max_len=longest, match_trie=None if small[i] else trie)
             parts.append(box_tensor(a, d, component=(i, j)))
     return _merge_complex(parts)
 
@@ -372,29 +381,55 @@ def pair_is_lspace(loops1, loops2) -> bool:
     return is_lspace_complex(pair_complex(loops1, loops2))
 
 
-_STANDARD_SOLID_TORUS = Loop.from_text("e")
-_SOLID_TORUS_CACHE: Dict[int, Tuple[TypeAStructure, _Trie]] = {}
+_SOLID_TORUS_CACHE: Dict[int, TypeAStructure] = {}
 
 
-def _solid_torus_module(max_len: int) -> Tuple[TypeAStructure, _Trie]:
+def _solid_torus_module(max_len: int) -> TypeAStructure:
+    """Type A module of the standard solid torus (e) with operations of up to
+    L inputs, L >= max_len a power of two: one generator x in i0 of grading
+    1, and m(x, rho3, rho23^k, rho2) = x for 0 <= k <= L - 2."""
     # round the operation length up so a handful of cache entries serve all
     key = 1 << max(3, max_len - 1).bit_length()
     if key not in _SOLID_TORUS_CACHE:
-        a = to_type_a(word_to_graph(_STANDARD_SOLID_TORUS.word), max_len=key)
-        trie = _Trie()
-        for (_, inputs) in a.operations:
-            trie.insert(inputs)
-        _SOLID_TORUS_CACHE[key] = (a, trie)
+        x = ("b", 0)  # the one vertex of word_to_graph of (e)
+        a = TypeAStructure(
+            {x: ("0", 1)},
+            {(x, ("3",) + ("23",) * k + ("2",)): {x} for k in range(key - 1)},
+        )
+        a.check()
+        _SOLID_TORUS_CACHE[key] = a
     return _SOLID_TORUS_CACHE[key]
+
+
+@lru_cache(maxsize=4096)
+def _twist_chain(s: Slope) -> Tuple[Tuple[str, int], ...]:
+    # a check sweeps the same slopes over many loops
+    return reparametrization_word(s).ops
+
+
+def _reparametrized_word(l: Loop, s: Slope) -> LoopWord:
+    """A word of reparametrize(l, s), reached apart from it: the twists of
+    reparametrization_word(s) run on raw words, each changing alphabet with
+    the step transducer when it needs to and shifting c/d subscripts, with
+    no canonical form taken along the way."""
+    w = l.word
+    for kind, n in _twist_chain(s):
+        if w.star != (kind == "du"):
+            other = _other_letters(w)
+            if other is None:
+                continue  # loops without the notation are fixed
+            w = LoopWord(other, validate=False)
+        w = shift_cd(w, n)
+    return w
 
 
 def fill_oracle(loops, s: Slope) -> FillingResult:
     """Filling computed by the pairing, not the fast rules."""
     per = []
     for l in as_loops(loops):
-        d = make_bounded(word_to_graph(reparametrize(l, s).word))
-        a, trie = _solid_torus_module(d.longest_path_edges())
-        res = homology(box_tensor(a, d, ops_trie=trie))
+        d = make_bounded(word_to_graph(_reparametrized_word(l, s)))
+        a = _solid_torus_module(d.longest_path_edges())
+        res = homology(box_tensor(a, d))
         (dim, _, _, chi) = next(iter(res.per_component.values()))
         per.append((dim, abs(chi)))
     return FillingResult.from_counts(per)

@@ -53,13 +53,14 @@ class Slope:
 
     @staticmethod
     def parse(text: str) -> "Slope":
+        """Read 'p/q', an integer p, or 'inf' (also 'infty', 'oo')."""
         text = text.strip()
         if text in ("inf", "infty", "oo", "1/0"):
             return INFINITY
-        if "/" in text:
-            a, b = text.split("/")
-            return Slope(int(a), int(b))
-        return Slope(int(text), 1)
+        p, slash, q = text.partition("/")
+        if "/" in q:
+            raise ValueError("a slope is p/q, an integer, or inf, with at most one '/'")
+        return Slope(int(p), int(q) if slash else 1)
 
     @property
     def is_infinite(self) -> bool:
@@ -216,6 +217,13 @@ def twist(l: Loop, kind: str, n: int = 1) -> Loop:
         w = word_in(l, want)
     except NotExpressible:
         return l  # loops without the notation are fixed
+    # Loop canonicalizes the shifted word
+    return Loop(shift_cd(w, n))
+
+
+def shift_cd(w: LoopWord, n: int) -> LoopWord:
+    """The word with c_j -> c_{j-n} and d_j -> d_{j+n}: tw^n of a standard
+    word, du^n of a dual one.  Shifting c/d subscripts keeps a word valid."""
     shifted = []
     for x in w.letters:
         if x.family == "c":
@@ -224,8 +232,7 @@ def twist(l: Loop, kind: str, n: int = 1) -> Loop:
             shifted.append(Letter("d", x.subscript + n, x.star))
         else:
             shifted.append(x)
-    # shifting c/d subscripts keeps the word valid; Loop canonicalizes it
-    return Loop(LoopWord(shifted, validate=False))
+    return LoopWord(shifted, validate=False)
 
 
 def ex(l: Loop) -> Loop:

@@ -2,6 +2,7 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
 
 from loopfloer import Letter, Loop, PlumbingTree, Slope, classify_vertices
@@ -33,6 +34,30 @@ def random_loop(rng, max_len=8, max_sub=3, star=False):
         if word_violations(letters):
             continue
         return Loop.from_letters(letters)
+
+
+@st.composite
+def loops(draw, max_len=7, max_sub=3, star=False):
+    """Hypothesis strategy for a valid loop of 1..max_len letters."""
+    n = draw(st.integers(1, max_len))
+    fams = []
+    for _ in range(n):
+        opts = [f for f in "abcd" if not fams or _START[f] != _END[fams[-1]]]
+        fams.append(draw(st.sampled_from(opts)))
+    if _START[fams[0]] == _END[fams[-1]]:
+        fams = [f for f in fams if f in "cd"] or ["d"]
+    if sum(f == "a" for f in fams) != sum(f == "b" for f in fams):
+        fams = [f for f in fams if f in "cd"] or ["d"]
+    letters = []
+    for f in fams:
+        if f in "ab":
+            s = draw(st.integers(-max_sub, max_sub).filter(lambda k: k != 0))
+        else:
+            s = draw(st.integers(-max_sub, max_sub))
+        letters.append(Letter(f, s, star))
+    if word_violations(letters):
+        letters = [Letter("d", x.subscript, star) for x in letters]
+    return Loop.from_letters(letters)
 
 
 def random_closed_tree(rng, max_vertices=10, weight_range=(-5, 5)):

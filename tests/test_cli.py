@@ -146,7 +146,7 @@ def test_usage_error_exit_code(capsys):
 BAD_INPUTS = [
     # (argv, exit code, start of the JSON reason; None for usage errors)
     (["fill", "(a1 q2)", "1/0"], 1, "bad loop input"),
-    (["fill", "(e)", "1/0/2"], 1, "bad slope"),
+    (["fill", "(e)", "1/0/2"], 1, "bad slope '1/0/2': a slope is p/q, an integer, or inf"),
     (["fill", "(e)", "0/0"], 1, "bad slope"),
     (["cfd", "v 0 x"], 1, "bad tree input"),
     (["cfd", "v 0 1"], 1, "cfd needs a tree with a boundary half-edge"),
@@ -161,6 +161,7 @@ BAD_INPUTS = [
     (["census", "--family", "nt"], 2, None),
     (["--format", "yaml", "fill", "(e)", "1/0"], 2, None),
     (["spin", "(e)"], 2, None),
+    (["dualize", "# nothing"], 1, "no loops in input"),
 ]
 
 

@@ -1,6 +1,11 @@
 import random
 import sys
 import time
+from collections import Counter
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
 
 from loopfloer import (
     Loop,
@@ -11,10 +16,122 @@ from loopfloer import (
     pair_is_lspace,
     to_type_a,
 )
-from loopfloer.algebra import DecoratedGraph, IDENT, homology, reduce_graph
+from loopfloer.algebra import DecoratedGraph, IDENT, GraphError, homology, reduce_graph
+from loopfloer.detection import stern_brocot_slopes
 from loopfloer.loops import graph_to_words, word_to_graph
-from loopfloer.oracle import _parse_runs, pair_complex
-from conftest import small_slopes
+from loopfloer.oracle import (
+    TypeAStructure,
+    _RELABEL,
+    _reparametrized_word,
+    _solid_torus_module,
+    box_tensor,
+    label_path_trie,
+    pair_complex,
+)
+from loopfloer.twists import reparametrization_word
+from conftest import loops, small_slopes
+
+
+# -- references: the whole-string type A walk and a brute-force box tensor
+
+
+def _parse_runs(digits):
+    """Split a digit string into maximal increasing runs of consecutive
+    digits; each run is one torus-algebra element."""
+    runs = []
+    cur = digits[0]
+    for d in digits[1:]:
+        if ord(d) == ord(cur[-1]) + 1:
+            cur += d
+        else:
+            runs.append(cur)
+            cur = d
+    runs.append(cur)
+    return tuple(runs)
+
+
+_COMPLETIONS = {
+    "1": ("1", "12", "123"),
+    "2": ("2", "23"),
+    "3": ("3",),
+    "12": ("12", "123"),
+    "23": ("23",),
+    "123": ("123",),
+}
+
+
+def _prefix_alive(digits, trie):
+    """Whether some extension of the digit string can parse into a label
+    sequence present in the trie."""
+    if trie is None:
+        return True
+    tokens = _parse_runs(digits)
+    node = trie
+    for tok in tokens[:-1]:
+        node = node.children.get(tok)
+        if node is None:
+            return False
+    return any(c in node.children for c in _COMPLETIONS[tokens[-1]])
+
+
+def _reference_type_a(g, max_len, match_trie=None):
+    """to_type_a by re-reading each walk's whole digit string at every step."""
+    gr = g.gradings()
+    gens = {v: (idem, (gr[v] + (1 if idem == "0" else 0)) % 2) for v, idem in g.vertices.items()}
+    outs = {v: [] for v in g.vertices}
+    for s, t, label in g.edges:
+        outs[s].append((t, _RELABEL[label]))
+    ops = Counter()
+    for start in g.vertices:
+        stack = [(start, "")]
+        while stack:
+            v, digits = stack.pop()
+            if digits:
+                inputs = _parse_runs(digits)
+                if len(inputs) <= max_len:
+                    ops[(start, inputs, v)] += 1
+            for t, lab in outs[v]:
+                nd = digits + lab
+                if len(nd) <= 3 * max_len and _prefix_alive(nd, match_trie):
+                    stack.append((t, nd))
+    operations = {}
+    for (src, inputs, tgt), count in ops.items():
+        if count % 2:
+            operations.setdefault((src, inputs), set()).add(tgt)
+    return TypeAStructure(gens, operations)
+
+
+def _reference_box_tensor(a, d, component=0):
+    """box_tensor by brute force: every generator x (x) y, every directed
+    label path from y, and every operation of x with those inputs."""
+    gr_d = d.gradings()
+    generators = [((x, y), (gx + gr_d[y]) % 2, component)
+                  for x, (ix, gx) in a.generators.items()
+                  for y, iy in d.vertices.items() if ix == iy]
+    diff = Counter()
+    for s, t, label in d.edges:
+        if label is IDENT:
+            for x, (ix, _) in a.generators.items():
+                if ix == d.vertices[s]:
+                    diff[((x, s), (x, t))] += 1
+    labelled = [(s, t, label) for s, t, label in d.edges if label is not IDENT]
+    for (x, y), _, _ in generators:
+        stack = [(y, ())]
+        while stack:
+            v, labels = stack.pop()
+            for x2 in a.operations.get((x, labels), ()):
+                diff[((x, y), (x2, v))] += 1
+            stack += [(t, labels + (label,)) for s, t, label in labelled if s == v]
+    return generators, {e for e, n in diff.items() if n % 2}
+
+
+@st.composite
+def oracle_loops(draw, max_len=12):
+    """Random loops of 1..max_len letters, all-e and all-e* words among them."""
+    kind = draw(st.sampled_from(["standard", "dual", "e", "e*"]))
+    if kind in ("e", "e*"):
+        return Loop.from_text(" ".join([kind] * draw(st.integers(1, max_len))))
+    return draw(loops(max_len=max_len, star=kind == "dual"))
 
 
 def test_parse_runs():
@@ -228,3 +345,49 @@ def test_slope_trick_invariance(corpus):
         base = pair_is_lspace(l1, l2)
         for n in (1, -1, 2):
             assert pair_is_lspace(twist(l1, "tw", n), twist(l2, "du", n)) == base
+
+
+@pytest.mark.parametrize("length", [4, 8, 16, 32, 64, 128, 256, 512, 2048])
+def test_solid_torus_closed_form_matches_walks(length):
+    walked = to_type_a(word_to_graph(Loop.from_text("e").word), max_len=length)
+    assert _solid_torus_module(length) == walked
+
+
+def test_type_a_check_rejects_bad_operations():
+    x, u, v = ("x",), ("u",), ("v",)
+    gens = {x: ("0", 1), u: ("1", 1), v: ("1", 0)}
+    good = {(x, ("3",)): {u}}  # every bad case below shares its prefix
+    TypeAStructure(gens, good).check()
+    bad = [
+        ({(x, ("3", "3")): {u}}, "idempotent mismatch"),
+        ({(x, ("3", "2")): {u}}, "target idempotent mismatch"),
+        ({(x, ("3", "23")): {v}}, "grading rule"),
+        ({(x, ()): {u}}, "empty input"),
+    ]
+    for ops, reason in bad:
+        with pytest.raises(GraphError, match=reason):
+            TypeAStructure(gens, {**good, **ops}).check()
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_loops())
+def test_oracle_chain_word_is_the_reparametrization(l):
+    for s in stern_brocot_slopes(6):
+        assert Loop(_reparametrized_word(l, s)) == reparametrization_word(s).apply(l), str(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_loops(), oracle_loops(), st.integers(1, 10), st.booleans())
+def test_to_type_a_matches_whole_string_walk(l, other, max_len, with_trie):
+    g = word_to_graph(l.word)
+    trie = label_path_trie(make_bounded(word_to_graph(other.word))) if with_trie else None
+    assert to_type_a(g, max_len, trie) == _reference_type_a(g, max_len, trie)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_loops(8), oracle_loops(8))
+def test_box_tensor_matches_brute_force(l1, l2):
+    d = make_bounded(word_to_graph(l2.word))
+    a = to_type_a(word_to_graph(l1.word), max_len=d.longest_path_edges())
+    cpx = box_tensor(a, d, component=7)
+    assert (cpx.generators, cpx.differential) == _reference_box_tensor(a, d, component=7)

@@ -16,39 +16,13 @@ from loopfloer import (
     twist,
 )
 from loopfloer.loops import (
-    Letter,
     NotExpressible,
     dual_word,
     graph_to_words,
     word_to_graph,
     word_violations,
 )
-
-_START = {"a": 2, "b": 1, "c": 2, "d": 1}
-_END = {"a": 2, "b": 1, "c": 1, "d": 2}
-
-
-@st.composite
-def loops(draw, max_len=7, max_sub=3, star=False):
-    n = draw(st.integers(1, max_len))
-    fams = []
-    for _ in range(n):
-        opts = [f for f in "abcd" if not fams or _START[f] != _END[fams[-1]]]
-        fams.append(draw(st.sampled_from(opts)))
-    if _START[fams[0]] == _END[fams[-1]]:
-        fams = [f for f in fams if f in "cd"] or ["d"]
-    if sum(f == "a" for f in fams) != sum(f == "b" for f in fams):
-        fams = [f for f in fams if f in "cd"] or ["d"]
-    letters = []
-    for f in fams:
-        if f in "ab":
-            s = draw(st.integers(-max_sub, max_sub).filter(lambda k: k != 0))
-        else:
-            s = draw(st.integers(-max_sub, max_sub))
-        letters.append(Letter(f, s, star))
-    if word_violations(letters):
-        letters = [Letter("d", x.subscript, star) for x in letters]
-    return Loop.from_letters(letters)
+from conftest import loops
 
 
 slopes = st.builds(
