@@ -146,7 +146,7 @@ def test_usage_error_exit_code(capsys):
 BAD_INPUTS = [
     # (argv, exit code, start of the JSON reason; None for usage errors)
     (["fill", "(a1 q2)", "1/0"], 1, "bad loop input"),
-    (["fill", "(e)", "1/0/2"], 1, "bad slope '1/0/2': a slope is p/q, an integer, or inf"),
+    (["fill", "(e)", "1/0/2"], 1, "bad slope"),
     (["fill", "(e)", "0/0"], 1, "bad slope"),
     (["cfd", "v 0 x"], 1, "bad tree input"),
     (["cfd", "v 0 1"], 1, "cfd needs a tree with a boundary half-edge"),
@@ -175,6 +175,13 @@ def test_bad_input_exit_codes(capsys, monkeypatch, tmp_path, argv, code, reason)
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"].startswith(reason)
+
+
+def test_slope_with_two_slashes_names_the_fault(capsys):
+    got, out, err = invoke(capsys, "fill", "(e)", "1/0/2")
+    assert (got, out) == (1, "")
+    reason = json.loads(err)["error"]
+    assert reason.startswith("bad slope '1/0/2': a slope is p/q, an integer, or inf")
 
 
 def test_inline_text_is_never_a_path(capsys, monkeypatch, tmp_path):
