@@ -8,12 +8,15 @@ BENCH_<n>.json file.
 `run` runs perfbench/run.py at each seed in both checkouts, the side that
 goes first alternating from seed to seed, with the run length BENCHMARK.json
 fixes, and appends one JSON line per run to the raw file: side, workload,
-seed, trace, the wall time from process start to exit, and the run's result.
-`summarize` gives, per workload, each end-to-end metric's median and
-quartiles on both sides, the pairs the change won (ties count for neither),
-whether the medians lie further apart than the parent's quartile distance,
-the traced per-layer metrics, every wall time, and the total wall time of
-the workloads at each seed where all of them ran.
+seed, trace, the wall time from process start to exit, the time the run's
+check took and its number of rounds (both from the run's JSON under
+perfbench/out/), and the run's result.  `summarize` gives, per workload,
+each end-to-end metric's median and quartiles on both sides, the pairs the
+change won (ties count for neither), whether the medians lie further apart
+than the parent's quartile distance, the traced per-layer metrics, every
+wall time, check time and round count, and the median check time; and, at
+each seed where all the workloads ran, their total wall time and their
+total check time.
 """
 
 from __future__ import annotations
@@ -49,11 +52,13 @@ def _run_one(checkout: str, workload: str, seed: int, trace: int, seconds: float
                           timeout=TIMEOUT_S)
     wall = time.perf_counter() - t0
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = os.path.join(checkout, "perfbench", "out", f"{workload}-s{seed}-t{trace}.json")
+    with open(out) as fh:
+        record = json.load(fh)
     if trace:
-        out = os.path.join(checkout, "perfbench", "out", f"{workload}-s{seed}-t1.json")
-        with open(out) as fh:
-            result["per_layer"] = json.load(fh)["per_layer"]
-    return {"workload": workload, "seed": seed, "trace": trace, "wall_s": wall, "result": result}
+        result["per_layer"] = record["per_layer"]
+    return {"workload": workload, "seed": seed, "trace": trace, "wall_s": wall,
+            "check_s": record["check_s"], "rounds": record["rounds"], "result": result}
 
 
 def run(args) -> None:
@@ -66,6 +71,7 @@ def run(args) -> None:
                 fh.write(json.dumps(rec) + "\n")
             m = rec["result"]
             print(f"{side:6s} {args.workload} s{seed} t{args.trace} wall {rec['wall_s']:.1f} s "
+                  f"check {rec['check_s']:.1f} s rounds {rec['rounds']} "
                   f"correct={m['correct']} failed={m['failed']}", flush=True)
 
 
@@ -87,7 +93,8 @@ def summarize(args) -> None:
         timed = {side: {r["seed"]: r for r in mine if r["side"] == side and not r["trace"]}
                  for side in ("parent", "change")}
         seeds = sorted(set(timed["parent"]) & set(timed["change"]))
-        entry = {"seeds": seeds, "end_to_end": {}, "per_layer": {}, "wall_s": {}}
+        entry = {"seeds": seeds, "end_to_end": {}, "per_layer": {}, "wall_s": {}, "check_s": {},
+                 "rounds": {}, "check_s_median": {}}
         for name, direction in better.items() if len(seeds) >= 2 else ():
             vals = {side: [timed[side][s]["result"]["metrics"][name]["value"] for s in seeds]
                     for side in timed}
@@ -101,22 +108,28 @@ def summarize(args) -> None:
                 "medians_apart_beyond_parent_iqr": abs(chg["median"] - par["median"]) > par["q3"] - par["q1"],
             }
         for side in ("parent", "change"):
-            entry["wall_s"][side] = {f"s{r['seed']}-t{r['trace']}": round(r["wall_s"], 2)
-                                     for r in mine if r["side"] == side}
+            for key in ("wall_s", "check_s", "rounds"):
+                entry[key][side] = {f"s{r['seed']}-t{r['trace']}": round(r[key], 2)
+                                    for r in mine if r["side"] == side}
+            if timed[side]:
+                entry["check_s_median"][side] = round(
+                    statistics.median(r["check_s"] for r in timed[side].values()), 2)
             entry[f"failed_{side}"] = sum(r["result"]["failed"] for r in mine if r["side"] == side)
             entry[f"correct_{side}"] = all(r["result"]["correct"] for r in mine if r["side"] == side)
             traced = [r for r in mine if r["side"] == side and r["trace"]]
             if traced:
                 entry["per_layer"][side] = {f"s{r['seed']}": r["result"]["per_layer"] for r in traced}
         out["workloads"][wl] = entry
-    # one run of every workload at one seed, from process start to exit
-    walls = {(r["side"], r["workload"], r["seed"]): r["wall_s"] for r in recs if not r["trace"]}
+    # one run of every workload at one seed: from process start to exit, and
+    # the part of it the checks took
     names = list(out["workloads"])
-    out["wall_s_all_workloads_by_seed"] = {
-        side: {f"s{seed}": round(sum(walls[side, wl, seed] for wl in names), 2)
-               for seed in sorted({s for (_, _, s) in walls})
-               if all((side, wl, seed) in walls for wl in names)}
-        for side in ("parent", "change")}
+    for key in ("wall_s", "check_s"):
+        times = {(r["side"], r["workload"], r["seed"]): r[key] for r in recs if not r["trace"]}
+        out[f"{key}_all_workloads_by_seed"] = {
+            side: {f"s{seed}": round(sum(times[side, wl, seed] for wl in names), 2)
+                   for seed in sorted({s for (_, _, s) in times})
+                   if all((side, wl, seed) in times for wl in names)}
+            for side in ("parent", "change")}
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

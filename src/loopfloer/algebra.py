@@ -62,15 +62,20 @@ def grading(a: str) -> int:
 
 IDENT = None  # label of an identity edge in a decorated graph
 
-# the (source, target) vertex idempotents of an edge labeled rho_I, and the
-# change of relative grading along an edge: 1 - gr(rho_I), or a flip for an
-# identity edge
-_EDGE_IDEMS = {a: (_LEFT[a][1], _RIGHT[a][1]) for a in RHOS}
+# the (label, source idempotent, target idempotent) triples an edge may
+# have, and the change of relative grading along an edge: 1 - gr(rho_I), or
+# a flip for an identity edge
+_EDGE_ENDS = {(a, _LEFT[a][1], _RIGHT[a][1]) for a in RHOS} | {(IDENT, i, i) for i in "01"}
 _EDGE_FLIP = {IDENT: 1, **{a: 1 - grading(a) for a in RHOS}}
 
 
 class GraphError(ValueError):
     pass
+
+
+# a topological order of a graph's vertices, and each vertex's (target,
+# label) out-edges
+Topology = Tuple[List[Hashable], Dict[Hashable, List[Tuple[Hashable, Optional[str]]]]]
 
 
 @dataclass
@@ -81,10 +86,17 @@ class DecoratedGraph:
     Edges are a plain list of (src, tgt, label) triples; parallel edges are
     allowed.  Vertex ids must be hashable and mutually comparable so that a
     deterministic base point exists in every component.
+
+    `topology` holds a topological order of an acyclic graph and each
+    vertex's (target, label) out-edges, kept by whoever proved the graph
+    acyclic (make_bounded, through sort_topologically) so that later stages
+    need not sort it again.  add_vertex and add_edge clear it; code that
+    edits `vertices` or `edges` directly must clear it too.
     """
 
     vertices: Dict[Hashable, str] = field(default_factory=dict)
     edges: List[Tuple[Hashable, Hashable, Optional[str]]] = field(default_factory=list)
+    topology: Optional[Topology] = field(default=None, compare=False, repr=False)
 
     def add_vertex(self, v: Hashable, idem: str) -> None:
         if idem not in ("0", "1"):
@@ -92,22 +104,24 @@ class DecoratedGraph:
         if v in self.vertices:
             raise GraphError(f"duplicate vertex {v!r}")
         self.vertices[v] = idem
+        self.topology = None
 
     def add_edge(self, src: Hashable, tgt: Hashable, label: Optional[str]) -> None:
         self.edges.append((src, tgt, label))
+        self.topology = None
 
     def check(self) -> None:
         """Raise unless every edge is idempotent-compatible."""
         vertices = self.vertices
         for src, tgt, label in self.edges:
             si, ti = vertices.get(src), vertices.get(tgt)
+            if (label, si, ti) in _EDGE_ENDS:
+                continue
             if si is None or ti is None:
                 raise GraphError(f"dangling edge {(src, tgt, label)}")
             if label is IDENT:
-                if si != ti:
-                    raise GraphError("identity edge between distinct idempotents")
-            elif _EDGE_IDEMS.get(label) != (si, ti):
-                raise GraphError(f"edge label {label} incompatible with {si}->{ti}")
+                raise GraphError("identity edge between distinct idempotents")
+            raise GraphError(f"edge label {label} incompatible with {si}->{ti}")
 
     def is_reduced(self) -> bool:
         return all(label is not IDENT for _, _, label in self.edges)
@@ -168,35 +182,52 @@ class DecoratedGraph:
                     gr[v] ^= 1
         return gr
 
-    def _topological_order(self):
-        """Kahn's order and the out-lists; the order leaves out every vertex
-        on or after a directed cycle."""
+    def _topological_order(self) -> Topology:
+        """Kahn's order and each vertex's (target, label) out-edges; the
+        order leaves out every vertex on or after a directed cycle."""
         indeg = dict.fromkeys(self.vertices, 0)
-        outs: Dict[Hashable, List[Hashable]] = {v: [] for v in self.vertices}
-        for s, t, _ in self.edges:
-            outs[s].append(t)
+        outs: Dict[Hashable, List[Tuple[Hashable, Optional[str]]]] = {v: [] for v in self.vertices}
+        for s, t, label in self.edges:
+            outs[s].append((t, label))
             indeg[t] += 1
         order = [v for v, d in indeg.items() if d == 0]
         for v in order:  # grows while it is walked
-            for t in outs[v]:
+            for t, _ in outs[v]:
                 d = indeg[t] - 1
                 indeg[t] = d
                 if not d:
                     order.append(t)
         return order, outs
 
-    def has_directed_cycle(self) -> bool:
-        return len(self._topological_order()[0]) != len(self.vertices)
+    def sort_topologically(self) -> bool:
+        """Whether the graph is acyclic; if it is, `topology` is set."""
+        order, outs = self._topological_order()
+        if len(order) != len(self.vertices):
+            return False
+        self.topology = order, outs
+        return True
 
-    def longest_path_edges(self) -> int:
-        """Length (in edges) of the longest directed path; requires acyclic."""
+    def acyclic_topology(self) -> Topology:
+        """`topology`, or the same from a Kahn pass when it is not set;
+        raises GraphError on a directed cycle."""
+        if self.topology is not None:
+            return self.topology
         order, outs = self._topological_order()
         if len(order) != len(self.vertices):
             raise GraphError("graph has a directed cycle")
+        return order, outs
+
+    def has_directed_cycle(self) -> bool:
+        return (self.topology is None
+                and len(self._topological_order()[0]) != len(self.vertices))
+
+    def longest_path_edges(self) -> int:
+        """Length (in edges) of the longest directed path; requires acyclic."""
+        order, outs = self.acyclic_topology()
         dist = dict.fromkeys(self.vertices, 0)
         for v in order:
             dt = dist[v] + 1
-            for t in outs[v]:
+            for t, _ in outs[v]:
                 if dist[t] < dt:
                     dist[t] = dt
         return max(dist.values(), default=0)

@@ -17,13 +17,13 @@ from .loops import (
     Letter,
     Loop,
     LoopWord,
-    NotExpressible,
     as_loops,
     euler_chars,
     expressible,
     rational_longitude,
     unstable_subscripts,
     word_in,
+    word_or_none,
 )
 from .twists import (
     INFINITY,
@@ -223,7 +223,7 @@ def _slope_word(l: Loop, s: Slope) -> Optional[LoopWord]:
         l, alphabet = reparametrize(l, s), "standard"
     else:
         alphabet = "dual"
-    return word_in(l, alphabet) if expressible(l, alphabet) else None
+    return word_or_none(l, alphabet)
 
 
 def is_lspace_slope(loops, s: Slope) -> bool:
@@ -305,18 +305,16 @@ def is_strict_lspace_slope(loops, s: Slope) -> bool:
 
 
 def _all_unstable_dual(l: Loop) -> bool:
-    return expressible(l, "dual") and {
-        x.family for x in word_in(l, "dual").letters
-    } <= {"c", "d"}
+    w = word_or_none(l, "dual")
+    return w is not None and {x.family for x in w.letters} <= {"c", "d"}
 
 
 def _necessary_conditions(l: Loop) -> bool:
     """Stable-chain sign conditions every twist-reduction of an all-unstable
     loop satisfies; failing them certifies non-simplicity."""
     for alphabet in ("standard", "dual"):
-        try:
-            w = word_in(l, alphabet)
-        except NotExpressible:
+        w = word_or_none(l, alphabet)
+        if w is None:
             continue
         subs = [x.subscript for x in w.letters if x.family in "ab"]
         if subs and not (all(s > 0 for s in subs) or all(s < 0 for s in subs)):

@@ -12,6 +12,13 @@ with vertices in both idempotents has exactly one word in each alphabet up to
 that equivalence.  A step transducer converts between the alphabets and reads
 off the Euler characteristics letter by letter; words convert to decorated
 graphs and back only for the oracle and as the tests' reference.
+
+Letters are interned: the constructors on the hot paths (bar, negate, the
+transducer, parse_word, and the twists' shift_cd and ex) hand out one shared
+Letter per value from a bounded table, so converting and twisting words
+builds no new dataclass per letter.  Letters still compare by value.  The
+graph of a word numbers its vertices with ints, anchors first, so the
+oracle's graphs carry no tuple ids.
 """
 
 from __future__ import annotations
@@ -42,19 +49,34 @@ class Letter:
 
     def bar(self) -> "Letter":
         """The same segment traversed backwards."""
-        if self.family in "ab":
-            return Letter(self.family, -self.subscript, self.star)
-        fam = "d" if self.family == "c" else "c"
-        return Letter(fam, -self.subscript, self.star)
+        return intern_letter(_BAR_FAMILY[self.family], -self.subscript, self.star)
 
     def negate(self) -> "Letter":
-        return Letter(self.family, -self.subscript, self.star)
+        return intern_letter(self.family, -self.subscript, self.star)
 
     def __str__(self) -> str:
         star = "*" if self.star else ""
         if self.family == "d" and self.subscript == 0:
             return "e" + star
         return f"{self.family}{star}{self.subscript}"
+
+
+_BAR_FAMILY = {"a": "a", "b": "b", "c": "d", "d": "c"}
+
+# the shared Letters, keyed by value (see the module docstring)
+_INTERNED: Dict[Tuple[str, int, bool], Letter] = {}
+_INTERN_LIMIT = 1 << 16
+
+
+def intern_letter(family: str, subscript: int, star: bool = False) -> Letter:
+    """The shared Letter of a value; a value met once the table is full
+    gets an instance of its own."""
+    x = _INTERNED.get((family, subscript, star))
+    if x is None:
+        x = Letter(family, subscript, star)
+        if len(_INTERNED) < _INTERN_LIMIT:
+            _INTERNED[family, subscript, star] = x
+    return x
 
 
 # Puzzle-piece classes at the break idempotent: each anchor vertex carries one
@@ -248,7 +270,7 @@ def parse_word(text: str) -> LoopWord:
             sub = int(sub)
         if fam in "ab" and sub == 0:
             raise WordError(f"token {pos}: {fam}0 is not a letter")
-        letters.append(Letter(fam, sub, star))
+        letters.append(intern_letter(fam, sub, star))
     return LoopWord(letters)
 
 
@@ -280,83 +302,64 @@ def as_loops(loops) -> List[Loop]:
 # word <-> graph
 
 
-def _emit_standard(g: DecoratedGraph, letter: Letter, a, b, interior_prefix) -> None:
-    """Add the letter's segment between bullet anchors a -> b."""
+def _emit_standard(edges: list, letter: Letter, a: int, b: int, first: int) -> int:
+    """Add the edges of the letter's segment between bullet anchors a -> b,
+    its interior (circle) vertices numbered from first; their number."""
+    if letter.subscript < 0:
+        letter, a, b = letter.bar(), b, a
     fam, k = letter.family, letter.subscript
-    if k < 0:
-        _emit_standard(g, letter.bar(), b, a, interior_prefix)
-        return
-    if fam == "d" and k == 0:
-        g.add_edge(a, b, "12")
-        return
-    if fam == "c" and k == 0:
-        g.add_edge(b, a, "12")
-        return
-    circles = [interior_prefix + (j,) for j in range(k)]
-    for v in circles:
-        g.add_vertex(v, "1")
-    for u, v in zip(circles, circles[1:]):
-        g.add_edge(u, v, "23")
-    first, last = circles[0], circles[-1]
+    if k == 0:
+        edges.append((a, b, "12") if fam == "d" else (b, a, "12"))
+        return 0
+    last = first + k - 1
+    edges += [(u, u + 1, "23") for u in range(first, last)]
     if fam == "a":
-        g.add_edge(a, first, "3")
-        g.add_edge(last, b, "2")
+        edges += ((a, first, "3"), (last, b, "2"))
     elif fam == "c":
-        g.add_edge(a, first, "3")
-        g.add_edge(b, last, "1")
+        edges += ((a, first, "3"), (b, last, "1"))
     elif fam == "d":
-        g.add_edge(a, first, "123")
-        g.add_edge(last, b, "2")
+        edges += ((a, first, "123"), (last, b, "2"))
     else:  # b
-        g.add_edge(a, first, "123")
-        g.add_edge(b, last, "1")
+        edges += ((a, first, "123"), (b, last, "1"))
+    return k
 
 
-def _emit_dual(g: DecoratedGraph, letter: Letter, a, b, interior_prefix) -> None:
-    """Add the letter's segment between circle anchors a -> b."""
+def _emit_dual(edges: list, letter: Letter, a: int, b: int, first: int) -> int:
+    """Add the edges of the letter's segment between circle anchors a -> b,
+    its interior (bullet) vertices numbered from first; their number."""
+    if letter.subscript < 0:
+        letter, a, b = letter.bar(), b, a
     fam, k = letter.family, letter.subscript
-    if k < 0:
-        _emit_dual(g, letter.bar(), b, a, interior_prefix)
-        return
-    if fam == "d" and k == 0:
-        g.add_edge(a, b, "23")
-        return
-    if fam == "c" and k == 0:
-        g.add_edge(b, a, "23")
-        return
-    bullets = [interior_prefix + (j,) for j in range(k)]
-    for v in bullets:
-        g.add_vertex(v, "0")
-    for u, v in zip(bullets, bullets[1:]):
-        g.add_edge(u, v, "12")
-    first, last = bullets[0], bullets[-1]
+    if k == 0:
+        edges.append((a, b, "23") if fam == "d" else (b, a, "23"))
+        return 0
+    last = first + k - 1
+    edges += [(u, u + 1, "12") for u in range(first, last)]
     if fam == "a":
-        g.add_edge(first, a, "3")
-        g.add_edge(last, b, "123")
+        edges += ((first, a, "3"), (last, b, "123"))
     elif fam == "c":
-        g.add_edge(first, a, "3")
-        g.add_edge(last, b, "1")
+        edges += ((first, a, "3"), (last, b, "1"))
     elif fam == "d":
-        g.add_edge(a, first, "2")
-        g.add_edge(last, b, "123")
+        edges += ((a, first, "2"), (last, b, "123"))
     else:  # b
-        g.add_edge(a, first, "2")
-        g.add_edge(last, b, "1")
+        edges += ((a, first, "2"), (last, b, "1"))
+    return k
 
 
 def word_to_graph(w: LoopWord) -> DecoratedGraph:
-    """The decorated graph of a word; anchors ('b', i) or ('o', i), interiors
-    ('x', i, j) for the letter at index i."""
-    g = DecoratedGraph()
+    """The decorated graph of a word: vertex i < len(w) is the anchor the
+    letter at index i starts from, and each letter's interior vertices
+    follow, numbered in the order of the letters."""
     n = len(w)
-    anchor_idem = "1" if w.star else "0"
-    tag = "o" if w.star else "b"
-    anchors = [(tag, i) for i in range(n)]
-    for v in anchors:
-        g.add_vertex(v, anchor_idem)
     emit = _emit_dual if w.star else _emit_standard
+    edges: list = []
+    nxt = n
     for i, letter in enumerate(w.letters):
-        emit(g, letter, anchors[i], anchors[(i + 1) % n], ("x", i))
+        nxt += emit(edges, letter, i, (i + 1) % n, nxt)
+    anchor, interior = ("1", "0") if w.star else ("0", "1")
+    vertices = dict.fromkeys(range(n), anchor)
+    vertices.update(dict.fromkeys(range(n, nxt), interior))
+    g = DecoratedGraph(vertices, edges)
     g.check()
     return g
 
@@ -399,52 +402,52 @@ def _recognize(chunk: List[Tuple[str, int]], star: bool) -> Letter:
     k = len(chunk) - 1
     if not star:
         if chunk == [("12", 1)]:
-            return Letter("d", 0)
+            return intern_letter("d", 0)
         if chunk == [("12", -1)]:
-            return Letter("c", 0)
+            return intern_letter("c", 0)
         first, last, mids = chunk[0], chunk[-1], chunk[1:-1]
         if all(m == ("23", 1) for m in mids):
             if first == ("3", 1) and last == ("2", 1):
-                return Letter("a", k)
+                return intern_letter("a", k)
             if first == ("3", 1) and last == ("1", -1):
-                return Letter("c", k)
+                return intern_letter("c", k)
             if first == ("123", 1) and last == ("2", 1):
-                return Letter("d", k)
+                return intern_letter("d", k)
             if first == ("123", 1) and last == ("1", -1):
-                return Letter("b", k)
+                return intern_letter("b", k)
         if all(m == ("23", -1) for m in mids):
             if first == ("2", -1) and last == ("3", -1):
-                return Letter("a", -k)
+                return intern_letter("a", -k)
             if first == ("2", -1) and last == ("123", -1):
-                return Letter("c", -k)
+                return intern_letter("c", -k)
             if first == ("1", 1) and last == ("3", -1):
-                return Letter("d", -k)
+                return intern_letter("d", -k)
             if first == ("1", 1) and last == ("123", -1):
-                return Letter("b", -k)
+                return intern_letter("b", -k)
     else:
         if chunk == [("23", 1)]:
-            return Letter("d", 0, True)
+            return intern_letter("d", 0, True)
         if chunk == [("23", -1)]:
-            return Letter("c", 0, True)
+            return intern_letter("c", 0, True)
         first, last, mids = chunk[0], chunk[-1], chunk[1:-1]
         if all(m == ("12", 1) for m in mids):
             if first == ("3", -1) and last == ("123", 1):
-                return Letter("a", k, True)
+                return intern_letter("a", k, True)
             if first == ("3", -1) and last == ("1", 1):
-                return Letter("c", k, True)
+                return intern_letter("c", k, True)
             if first == ("2", 1) and last == ("123", 1):
-                return Letter("d", k, True)
+                return intern_letter("d", k, True)
             if first == ("2", 1) and last == ("1", 1):
-                return Letter("b", k, True)
+                return intern_letter("b", k, True)
         if all(m == ("12", -1) for m in mids):
             if first == ("123", -1) and last == ("2", -1):
-                return Letter("c", -k, True)
+                return intern_letter("c", -k, True)
             if first == ("123", -1) and last == ("3", 1):
-                return Letter("a", -k, True)
+                return intern_letter("a", -k, True)
             if first == ("1", -1) and last == ("2", -1):
-                return Letter("b", -k, True)
+                return intern_letter("b", -k, True)
             if first == ("1", -1) and last == ("3", 1):
-                return Letter("d", -k, True)
+                return intern_letter("d", -k, True)
     raise WordError(f"unrecognized segment {chunk}")
 
 
@@ -472,7 +475,7 @@ _POSITIVE_SEGMENTS = {
 _SEGMENTS = {}
 for (_fam, _star), _seg in _POSITIVE_SEGMENTS.items():
     _SEGMENTS[_fam, 1, _star] = _seg
-    _SEGMENTS[Letter(_fam, 1, _star).bar().family, -1, _star] = tuple(
+    _SEGMENTS[_BAR_FAMILY[_fam], -1, _star] = tuple(
         (label, -d) for label, d in reversed(_seg))
 # the single step of d_0 (c_0 walks it backwards) between two anchors
 _ZERO_LABEL = {False: "12", True: "23"}
@@ -589,24 +592,28 @@ def graph_to_words(g: DecoratedGraph, alphabet: str = "standard") -> List[LoopWo
     return words
 
 
+def word_or_none(l: Loop, alphabet: str) -> Optional[LoopWord]:
+    """The loop's canonical word in the requested alphabet, or None for a
+    loop whose vertices all lie in the other idempotent."""
+    return l.word if l.star == (alphabet == "dual") else l.other_word
+
+
 def dual_word(l: Loop) -> LoopWord:
     """Canonical word of the loop in the alphabet its representative does
     not use; raises NotExpressible for single-idempotent loops."""
-    w = l.other_word
+    return word_in(l, "standard" if l.star else "dual")
+
+
+def word_in(l: Loop, alphabet: str) -> LoopWord:
+    """The loop's canonical word in the requested alphabet."""
+    w = word_or_none(l, alphabet)
     if w is None:
         raise NotExpressible("no dual representation")
     return w
 
 
-def word_in(l: Loop, alphabet: str) -> LoopWord:
-    """The loop's canonical word in the requested alphabet."""
-    if l.star == (alphabet == "dual"):
-        return l.word
-    return dual_word(l)
-
-
 def expressible(l: Loop, alphabet: str) -> bool:
-    return l.star == (alphabet == "dual") or l.other_word is not None
+    return word_or_none(l, alphabet) is not None
 
 
 def euler_chars(l: Loop) -> Tuple[int, int]:
@@ -618,9 +625,9 @@ def unstable_subscripts(l: Loop) -> Optional[Tuple[int, ...]]:
     """The subscripts of the loop's standard word read as an all-d word, or
     None unless every letter of that word is a c or a d (a valid word never
     mixes the two; an all-c word is read backwards)."""
-    if not expressible(l, "standard"):
+    w = word_or_none(l, "standard")
+    if w is None:
         return None
-    w = word_in(l, "standard")
     fams = {x.family for x in w.letters}
     if fams <= {"c"}:
         w = w.reversal()

@@ -229,11 +229,14 @@ def make_bounded(g: DecoratedGraph) -> DecoratedGraph:
     A rho12 edge u -> w becomes u -> n1 <- n2 -> w with labels rho1, identity,
     rho2 (similarly rho123 via rho1/rho23, and rho23 via rho2/rho3); edge
     reduction recovers the original graph, so the result is homotopy
-    equivalent.  Raises when a directed cycle has no splittable edge.
+    equivalent.  Vertex ids are ints, as word_to_graph numbers them, and the
+    new vertices take the ids after the largest.  The result keeps the
+    topology of its last acyclicity test.  Raises when a directed
+    cycle has no splittable edge.
     """
     g = g.copy()
-    counter = 0
-    while g.has_directed_cycle():
+    fresh = max(g.vertices, default=-1) + 1
+    while not g.sort_topologically():
         cycle = _find_directed_cycle(g)
         candidates = [e for e in cycle if g.edges[e][2] in _SPLITS]
         if not candidates:
@@ -241,9 +244,8 @@ def make_bounded(g: DecoratedGraph) -> DecoratedGraph:
         ei = min(candidates)
         src, tgt, label = g.edges[ei]
         first, second, idem = _SPLITS[label]
-        n1 = ("n", counter, 0)
-        n2 = ("n", counter, 1)
-        counter += 1
+        n1, n2 = fresh, fresh + 1
+        fresh += 2
         g.add_vertex(n1, idem)
         g.add_vertex(n2, idem)
         del g.edges[ei]
@@ -300,8 +302,10 @@ def box_tensor(a: TypeAStructure, d: DecoratedGraph, component: Hashable = 0) ->
     the trie of the operations' inputs.  The component marker tags every
     generator; d-squared and the grading flip are asserted.
     """
-    if d.has_directed_cycle():
-        raise GraphError("box tensor needs a bounded second factor")
+    try:
+        _, outs = d.acyclic_topology()
+    except GraphError:
+        raise GraphError("box tensor needs a bounded second factor") from None
     gr_d = d.gradings()
     generators: List[Tuple[Hashable, int, Hashable]] = [
         ((x, y), (gr_x + gr_d[y]) % 2, component)
@@ -312,34 +316,30 @@ def box_tensor(a: TypeAStructure, d: DecoratedGraph, component: Hashable = 0) ->
     by_idem: Dict[str, List[Hashable]] = {"0": [], "1": []}
     for x, (idem_x, _) in a.generators.items():
         by_idem[idem_x].append(x)
-    diff: Set[Tuple[Hashable, Hashable]] = set()
-
-    def toggle(s, t):
-        if (s, t) in diff:
-            diff.remove((s, t))
-        else:
-            diff.add((s, t))
-
-    outs: Dict[Hashable, List[Tuple[Hashable, str]]] = {v: [] for v in d.vertices}
+    # every way a differential arises; it counts mod 2
+    found: List[Tuple[Hashable, Hashable]] = []
+    firsts = a.trie.children
+    # label paths spelling operation inputs, as (start, end, trie node) after
+    # their first edge; an operation has at least one input, so every path
+    # starts with an edge whose label begins some operation's inputs (the
+    # trie has no identity label)
+    stack: List[Tuple[Hashable, Hashable, _Trie]] = []
     for s, t, label in d.edges:
         if label is IDENT:
-            for x in by_idem[d.vertices[s]]:
-                toggle((x, s), (x, t))
-        else:
-            outs[s].append((t, label))
-    # a label path from y spelling the inputs of an operation of x starts
-    # and ends in the idempotents of x and its targets
-    for y in d.vertices:
-        stack = [(y, a.trie)]
-        while stack:
-            v, node = stack.pop()
-            for x, targets in node.ops:
-                for x2 in targets:
-                    toggle((x, y), (x2, v))
-            for t, label in outs[v]:
-                child = node.children.get(label)
-                if child is not None:
-                    stack.append((t, child))
+            found += [((x, s), (x, t)) for x in by_idem[d.vertices[s]]]
+        elif label in firsts:
+            stack.append((s, t, firsts[label]))
+    # a path from y spelling the inputs of an operation of x starts and ends
+    # in the idempotents of x and its targets
+    while stack:
+        y, v, node = stack.pop()
+        for x, targets in node.ops:
+            found += [((x, y), (x2, v)) for x2 in targets]
+        for t, label in outs[v]:
+            child = node.children.get(label)
+            if child is not None:
+                stack.append((y, t, child))
+    diff = {pair for pair, n in Counter(found).items() if n % 2}
     cpx = ChainComplexF2(generators, diff)
     cpx.check()
     return cpx
@@ -391,7 +391,7 @@ def _solid_torus_module(max_len: int) -> TypeAStructure:
     # round the operation length up so a handful of cache entries serve all
     key = 1 << max(3, max_len - 1).bit_length()
     if key not in _SOLID_TORUS_CACHE:
-        x = ("b", 0)  # the one vertex of word_to_graph of (e)
+        x = 0  # the one vertex of word_to_graph of (e)
         a = TypeAStructure(
             {x: ("0", 1)},
             {(x, ("3",) + ("23",) * k + ("2",)): {x} for k in range(key - 1)},

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .detection import ex_on_ks
-from .loops import Letter, Loop, LoopWord, expressible, unstable_subscripts, word_in
+from .loops import Letter, Loop, LoopWord, expressible, unstable_subscripts, word_in, word_or_none
 from .twists import FillingResult, Slope, ex, fill, twist
 
 
@@ -178,9 +178,9 @@ def merge_loops(l1: Loop, l2: Loop) -> List[Loop]:
     ks = unstable_subscripts(l1)
     if ks is None:
         raise PipelineError("merge requires unstable side")
-    if not expressible(l2, "standard"):
+    w2 = word_or_none(l2, "standard")
+    if w2 is None:
         return [l2] * len(ks)
-    w2 = word_in(l2, "standard")
     m, n = len(ks), len(w2)
     # tails[vertex] = (letter, head vertex); vertices are (row, column) pairs
     tails: Dict[Tuple[int, int], Tuple[Letter, Tuple[int, int]]] = {}

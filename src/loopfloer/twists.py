@@ -22,14 +22,12 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .loops import (
-    Letter,
     Loop,
     LoopWord,
-    NotExpressible,
     as_loops,
     euler_chars,
-    expressible,
-    word_in,
+    intern_letter,
+    word_or_none,
 )
 
 
@@ -58,9 +56,13 @@ class Slope:
         if text in ("inf", "infty", "oo", "1/0"):
             return INFINITY
         p, slash, q = text.partition("/")
-        if "/" in q:
-            raise ValueError("a slope is p/q, an integer, or inf, with at most one '/'")
-        return Slope(int(p), int(q) if slash else 1)
+        try:
+            if "/" in q:
+                raise ValueError
+            num, den = int(p), int(q) if slash else 1
+        except ValueError:
+            raise ValueError("a slope is p/q, an integer, or inf, with at most one '/'") from None
+        return Slope(num, den)
 
     @property
     def is_infinite(self) -> bool:
@@ -212,10 +214,8 @@ def twist(l: Loop, kind: str, n: int = 1) -> Loop:
         raise ValueError(f"unknown twist kind {kind!r}")
     if n == 0:
         return l
-    want = "standard" if kind == "tw" else "dual"
-    try:
-        w = word_in(l, want)
-    except NotExpressible:
+    w = word_or_none(l, "standard" if kind == "tw" else "dual")
+    if w is None:
         return l  # loops without the notation are fixed
     # Loop canonicalizes the shifted word
     return Loop(shift_cd(w, n))
@@ -224,21 +224,19 @@ def twist(l: Loop, kind: str, n: int = 1) -> Loop:
 def shift_cd(w: LoopWord, n: int) -> LoopWord:
     """The word with c_j -> c_{j-n} and d_j -> d_{j+n}: tw^n of a standard
     word, du^n of a dual one.  Shifting c/d subscripts keeps a word valid."""
-    shifted = []
-    for x in w.letters:
-        if x.family == "c":
-            shifted.append(Letter("c", x.subscript - n, x.star))
-        elif x.family == "d":
-            shifted.append(Letter("d", x.subscript + n, x.star))
-        else:
-            shifted.append(x)
-    return LoopWord(shifted, validate=False)
+    star = w.star
+    return LoopWord([
+        intern_letter("c", x.subscript - n, star) if x.family == "c"
+        else intern_letter("d", x.subscript + n, star) if x.family == "d"
+        else x
+        for x in w.letters
+    ], validate=False)
 
 
 def ex(l: Loop) -> Loop:
     """Negate every subscript and switch alphabet (tw then du^-1 then tw)."""
     return Loop(LoopWord(
-        [Letter(x.family, -x.subscript, not x.star) for x in l.word.letters], validate=False
+        [intern_letter(x.family, -x.subscript, not x.star) for x in l.word.letters], validate=False
     ))
 
 
@@ -287,9 +285,9 @@ class FillingResult:
 def _count_filling(l: Loop, alphabet: str) -> Tuple[int, int]:
     """(dim, |chi|) of the infinity ('standard') or zero ('dual') filling of
     a single loop."""
-    if not expressible(l, alphabet):
+    w = word_or_none(l, alphabet)
+    if w is None:
         return 2, 0  # two generators of opposite grading
-    w = word_in(l, alphabet)
     dual = alphabet == "dual"
     cancelling = "b" if dual else "a"
     n_cancelling = sum(1 for x in w.letters if x.family == cancelling)

@@ -162,6 +162,10 @@ BAD_INPUTS = [
     (["--format", "yaml", "fill", "(e)", "1/0"], 2, None),
     (["spin", "(e)"], 2, None),
     (["dualize", "# nothing"], 1, "no loops in input"),
+    (["fill", "(e)", "x"], 1,
+     "bad slope 'x': a slope is p/q, an integer, or inf, with at most one '/'"),
+    (["fill", "(e)", "1/y"], 1,
+     "bad slope '1/y': a slope is p/q, an integer, or inf, with at most one '/'"),
 ]
 
 

@@ -8,6 +8,7 @@ from loopfloer.loops import (
     LoopWord,
     NotExpressible,
     WordError,
+    _other_letters,
     canonicalize,
     dual_word,
     graph_to_words,
@@ -18,6 +19,7 @@ from loopfloer.loops import (
     word_to_graph,
     word_violations,
 )
+from loopfloer.twists import ex, shift_cd
 
 
 def test_parse_and_format_roundtrip():
@@ -309,6 +311,15 @@ def test_transducer_matches_graph_route(w):
     assert euler_chars(l) == _graph_chis(l.word)
     if l.other_word is not None:
         assert Loop(dual_word(l)) == l
+    # the constructors on the hot paths hand out one shared Letter per value,
+    # and loops of shared letters equal and hash like loops of fresh ones
+    parsed = parse_word(str(w))
+    made = [*parsed, *parse_word(str(w)), *(x.bar() for x in w), *(x.negate() for x in w),
+            *shift_cd(parsed, 1), *ex(l).word, *(_other_letters(w) or ())]
+    shared = {}
+    for x in made:
+        assert shared.setdefault(x, x) is x, repr(x)
+    assert Loop(parsed) == l and hash(Loop(parsed)) == hash(l)
 
 
 def test_fast_path_builds_no_graph(monkeypatch):

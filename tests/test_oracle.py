@@ -16,6 +16,7 @@ from loopfloer import (
     pair_is_lspace,
     to_type_a,
 )
+from loopfloer import oracle
 from loopfloer.algebra import DecoratedGraph, IDENT, GraphError, homology, reduce_graph
 from loopfloer.detection import stern_brocot_slopes
 from loopfloer.loops import graph_to_words, word_to_graph
@@ -293,7 +294,7 @@ def _bounded_variants(g):
         first, second, idem = _SPLIT_RULES[label]
         h = g.copy()
         del h.edges[i]
-        n1, n2 = ("alt", i, 0), ("alt", i, 1)
+        n1, n2 = len(h.vertices), len(h.vertices) + 1  # ints, like the graph's own ids
         h.add_vertex(n1, idem)
         h.add_vertex(n2, idem)
         h.add_edge(src, n1, first)
@@ -323,6 +324,35 @@ def test_bounded_edge_choice_invariance(corpus):
         assert len(dims) == 1, str(loop)
         checked += 1
     assert checked >= 5
+
+
+def test_bounded_graphs_are_sorted_once(monkeypatch):
+    """Past make_bounded, fill_oracle and pair_complex sort no graph
+    topologically: the bounded graph keeps the order of its last test."""
+    kahn = DecoratedGraph._topological_order
+    inside = []
+    sorts = {"inside": 0, "after": 0}
+
+    def counted(g):
+        sorts["inside" if inside else "after"] += 1
+        return kahn(g)
+
+    def bounded(g):
+        inside.append(g)
+        try:
+            return make_bounded(g)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(DecoratedGraph, "_topological_order", counted)
+    monkeypatch.setattr(oracle, "make_bounded", bounded)
+    for text in ("e", "e*", "d3", "a1 b1 c-2", "a-2 d-3 d-2 e d1 b-3"):
+        for s in (Slope(1, 0), Slope(0, 1), Slope(-3, 2), Slope(5, 7)):
+            fill_oracle(Loop.from_text(text), s)
+    big = [Loop.from_text("a-2 d-3 d-2 e d1 b-3"), Loop.from_text("d3")]
+    pair_complex(big, [Loop.from_text("e"), Loop.from_text("a1 b1 c-2")])
+    pair_complex([Loop.from_text("e")], big)
+    assert sorts["inside"] > 0 and sorts["after"] == 0
 
 
 def test_pair_components_are_per_loop_pairs():
