@@ -8,15 +8,19 @@ BENCH_<n>.json file.
 `run` runs perfbench/run.py at each seed in both checkouts, the side that
 goes first alternating from seed to seed, with the run length BENCHMARK.json
 fixes, and appends one JSON line per run to the raw file: side, workload,
-seed, trace, the wall time from process start to exit, the time the run's
-check took and its number of rounds (both from the run's JSON under
-perfbench/out/), and the run's result.  `summarize` gives, per workload,
-each end-to-end metric's median and quartiles on both sides, the pairs the
-change won (ties count for neither), whether the medians lie further apart
-than the parent's quartile distance, the traced per-layer metrics, every
-wall time, check time and round count, and the median check time; and, at
-each seed where all the workloads ran, their total wall time and their
-total check time.
+seed, trace, the wall time from process start to exit, and how the run
+ended (0, another exit code, or "timed_out" after TIMEOUT_S); for a run that
+ended with 0 also the time its check took and its number of rounds (both
+from the run's JSON under perfbench/out/) and its result.  A run that fails
+or hangs is recorded and the comparison goes on.  `summarize` gives, per
+workload, the runs that did not end with 0, the number of seeds at which
+both sides completed (the pairs), and over those pairs each end-to-end
+metric's median and quartiles on both sides, the pairs the change won (ties
+count for neither), whether the medians lie further apart than the parent's
+quartile distance, and the median check time; then the traced per-layer
+metrics and every completed run's wall time, check time and round count;
+and, at each seed where all the workloads completed, their total wall time
+and their total check time.
 """
 
 from __future__ import annotations
@@ -46,19 +50,23 @@ def _seeds(text: str):
 def _run_one(checkout: str, workload: str, seed: int, trace: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    rec = {"workload": workload, "seed": seed, "trace": trace}
     t0 = time.perf_counter()
-    # a run that has not ended after TIMEOUT_S stops the comparison
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
-                          timeout=TIMEOUT_S)
-    wall = time.perf_counter() - t0
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {**rec, "wall_s": time.perf_counter() - t0, "ended": "timed_out"}
+    rec.update(wall_s=time.perf_counter() - t0, ended=proc.returncode)
+    if proc.returncode:
+        return rec
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     out = os.path.join(checkout, "perfbench", "out", f"{workload}-s{seed}-t{trace}.json")
     with open(out) as fh:
         record = json.load(fh)
     if trace:
         result["per_layer"] = record["per_layer"]
-    return {"workload": workload, "seed": seed, "trace": trace, "wall_s": wall,
-            "check_s": record["check_s"], "rounds": record["rounds"], "result": result}
+    return {**rec, "check_s": record["check_s"], "rounds": record["rounds"], "result": result}
 
 
 def run(args) -> None:
@@ -69,9 +77,12 @@ def run(args) -> None:
             rec = {"side": side, **_run_one(checkout, args.workload, seed, args.trace, seconds)}
             with open(args.raw, "a") as fh:
                 fh.write(json.dumps(rec) + "\n")
+            head = f"{side:6s} {args.workload} s{seed} t{args.trace} wall {rec['wall_s']:.1f} s"
+            if rec["ended"]:
+                print(f"{head} ended {rec['ended']}", flush=True)
+                continue
             m = rec["result"]
-            print(f"{side:6s} {args.workload} s{seed} t{args.trace} wall {rec['wall_s']:.1f} s "
-                  f"check {rec['check_s']:.1f} s rounds {rec['rounds']} "
+            print(f"{head} check {rec['check_s']:.1f} s rounds {rec['rounds']} "
                   f"correct={m['correct']} failed={m['failed']}", flush=True)
 
 
@@ -84,17 +95,24 @@ def summarize(args) -> None:
     bench = _benchmark()
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     with open(args.raw) as fh:
-        recs = [json.loads(line) for line in fh if line.strip()]
+        every = [json.loads(line) for line in fh if line.strip()]
+    # raw files written before runs recorded how they ended hold completed runs only
+    recs = [r for r in every if not r.get("ended", 0)]
     out = {"note": args.note, "run_seconds": bench["run_seconds"], "workloads": {}}
     for wl in [w["name"] for w in bench["workloads"]]:
-        mine = [r for r in recs if r["workload"] == wl]
-        if not mine:
+        if not any(r["workload"] == wl for r in every):
             continue
+        mine = [r for r in recs if r["workload"] == wl]
         timed = {side: {r["seed"]: r for r in mine if r["side"] == side and not r["trace"]}
                  for side in ("parent", "change")}
         seeds = sorted(set(timed["parent"]) & set(timed["change"]))
-        entry = {"seeds": seeds, "end_to_end": {}, "per_layer": {}, "wall_s": {}, "check_s": {},
-                 "rounds": {}, "check_s_median": {}}
+        unfinished = [r for r in every if r["workload"] == wl and r.get("ended", 0)]
+        entry = {"seeds": seeds, "pairs": len(seeds), "end_to_end": {}, "per_layer": {},
+                 "wall_s": {}, "check_s": {}, "rounds": {}, "check_s_median": {},
+                 "unfinished": {side: [{"seed": r["seed"], "trace": r["trace"], "ended": r["ended"],
+                                        "wall_s": round(r["wall_s"], 2)}
+                                       for r in unfinished if r["side"] == side]
+                                for side in ("parent", "change")}}
         for name, direction in better.items() if len(seeds) >= 2 else ():
             vals = {side: [timed[side][s]["result"]["metrics"][name]["value"] for s in seeds]
                     for side in timed}
@@ -111,9 +129,9 @@ def summarize(args) -> None:
             for key in ("wall_s", "check_s", "rounds"):
                 entry[key][side] = {f"s{r['seed']}-t{r['trace']}": round(r[key], 2)
                                     for r in mine if r["side"] == side}
-            if timed[side]:
+            if seeds:
                 entry["check_s_median"][side] = round(
-                    statistics.median(r["check_s"] for r in timed[side].values()), 2)
+                    statistics.median(timed[side][s]["check_s"] for s in seeds), 2)
             entry[f"failed_{side}"] = sum(r["result"]["failed"] for r in mine if r["side"] == side)
             entry[f"correct_{side}"] = all(r["result"]["correct"] for r in mine if r["side"] == side)
             traced = [r for r in mine if r["side"] == side and r["trace"]]

@@ -15,7 +15,8 @@ arithmetic on purpose: reduction is purely structural.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 RHOS = ("1", "2", "3", "12", "23", "123")
 IDEMPOTENTS = ("i0", "i1")
@@ -90,13 +91,19 @@ class DecoratedGraph:
     `topology` holds a topological order of an acyclic graph and each
     vertex's (target, label) out-edges, kept by whoever proved the graph
     acyclic (make_bounded, through sort_topologically) so that later stages
-    need not sort it again.  add_vertex and add_edge clear it; code that
-    edits `vertices` or `edges` directly must clear it too.
+    need not sort it again.  `outs` and `grades` hold the out-edges and the
+    relative grading once `out_edges` and `gradings` have computed them, so
+    that each pairing a graph takes part in reads them.  add_vertex and
+    add_edge clear all three; code that edits `vertices` or `edges` directly
+    must clear them too.
     """
 
     vertices: Dict[Hashable, str] = field(default_factory=dict)
     edges: List[Tuple[Hashable, Hashable, Optional[str]]] = field(default_factory=list)
     topology: Optional[Topology] = field(default=None, compare=False, repr=False)
+    outs: Optional[Dict[Hashable, List[Tuple[Hashable, Optional[str]]]]] = field(
+        default=None, compare=False, repr=False)
+    grades: Optional[Dict[Hashable, int]] = field(default=None, compare=False, repr=False)
 
     def add_vertex(self, v: Hashable, idem: str) -> None:
         if idem not in ("0", "1"):
@@ -104,11 +111,11 @@ class DecoratedGraph:
         if v in self.vertices:
             raise GraphError(f"duplicate vertex {v!r}")
         self.vertices[v] = idem
-        self.topology = None
+        self.topology = self.outs = self.grades = None
 
     def add_edge(self, src: Hashable, tgt: Hashable, label: Optional[str]) -> None:
         self.edges.append((src, tgt, label))
-        self.topology = None
+        self.topology = self.outs = self.grades = None
 
     def check(self) -> None:
         """Raise unless every edge is idempotent-compatible."""
@@ -148,13 +155,19 @@ class DecoratedGraph:
             comps.append(comp)
         return comps
 
-    def gradings(self) -> Dict[Hashable, int]:
-        """Relative Z/2 grading, base vertex of each component pinned at 0.
+    def gradings(self) -> Mapping[Hashable, int]:
+        """Relative Z/2 grading, base vertex of each component pinned at 0,
+        as a read-only view of `grades`.
 
         Edges labeled rho_I change the grading by 1 - gr(rho_I); identity
         edges flip it.  The base is the smallest vertex of the component.
         Raises GraphError on an inconsistent cycle.
         """
+        if self.grades is None:
+            self.grades = self._relative_grading()
+        return MappingProxyType(self.grades)
+
+    def _relative_grading(self) -> Dict[Hashable, int]:
         gr: Dict[Hashable, int] = {}
         incident: Dict[Hashable, List[Tuple[Hashable, int]]] = {v: [] for v in self.vertices}
         for s, t, label in self.edges:
@@ -181,6 +194,16 @@ class DecoratedGraph:
                 for v in comp:
                     gr[v] ^= 1
         return gr
+
+    def out_edges(self) -> Dict[Hashable, List[Tuple[Hashable, Optional[str]]]]:
+        """Each vertex's (target, label) out-edges, kept in `outs`; callers
+        must not change them."""
+        if self.outs is None:
+            outs: Dict[Hashable, List[Tuple[Hashable, Optional[str]]]] = {v: [] for v in self.vertices}
+            for s, t, label in self.edges:
+                outs[s].append((t, label))
+            self.outs = outs
+        return self.outs
 
     def _topological_order(self) -> Topology:
         """Kahn's order and each vertex's (target, label) out-edges; the

@@ -320,6 +320,12 @@ def run(argv: Optional[List[str]] = None) -> int:
     except DomainError as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
+    except OverflowError:
+        # a subscript or twist power past sys.maxsize cannot size a list
+        big = [n for a in argv for n in re.findall(r"\d+", a) if int(n) > sys.maxsize]
+        what = ", ".join(big) or "a number the input leads to"
+        print(json.dumps({"error": f"too large to compute with: {what}"}), file=sys.stderr)
+        return 1
     return 0
 
 

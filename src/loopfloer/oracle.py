@@ -56,20 +56,21 @@ def _append_label(run: str, label: str) -> Tuple[Tuple[str, ...], str]:
     return tuple(closed), run
 
 
-# (open run, relabelled edge label) -> (closed runs, new open run)
-_STEPS = {(run, label): _append_label(run, label)
-          for run in ("",) + RHOS for label in _RELABEL.values()}
+# (open run, edge label) -> (closed runs, new open run), reading the edge
+# relabelled
+_STEPS = {(run, label): _append_label(run, relabelled)
+          for run in ("",) + RHOS for label, relabelled in _RELABEL.items()}
 
 
 class _Trie:
-    """A trie node over algebra inputs; ops holds (source, targets) of the
-    operations whose inputs end here."""
+    """A trie node over algebra inputs.  In a type A module, ops holds the
+    (source, target) pairs of the operations whose inputs end here."""
 
     __slots__ = ("children", "ops")
 
     def __init__(self):
         self.children: Dict[str, "_Trie"] = {}
-        self.ops: List[Tuple[Hashable, Set[Hashable]]] = []
+        self.ops: Set[Tuple[Hashable, Hashable]] = set()
 
     def child(self, a: str) -> "_Trie":
         node = self.children.get(a)
@@ -78,51 +79,74 @@ class _Trie:
         return node
 
 
-@dataclass
+# per input: its left and right idempotents, and what it adds mod 2 to the
+# grading rule's sum (its grading plus one for its count)
+_INPUT = {a: (left_idem(a)[1], right_idem(a)[1], (grading(a) + 1) % 2) for a in RHOS}
+
+
+@dataclass(eq=False)
 class TypeAStructure:
-    """Generators (idempotent, grading) plus multiplications keyed by
-    (source, algebra input sequence) with mod-2 target sets."""
+    """Generators (idempotent, grading) plus multiplications, held in a trie
+    of their input sequences: the node of an operation's inputs holds its
+    (source, target) pair, each pair present mod 2."""
 
     generators: Dict[Hashable, Tuple[str, int]]
-    operations: Dict[Tuple[Hashable, Tuple[str, ...]], Set[Hashable]]
+    trie: _Trie
 
     def check(self) -> None:
         """Raise unless each operation's inputs chain idempotents from its
         source to its targets and each target has the grading the rule
-        gives.  Operations that share a prefix of inputs share its walk."""
-        # per left idempotent, a trie of input prefixes: input ->
-        # (child, right idempotent, summed grading of the prefix)
-        roots: Dict[str, dict] = {"i0": {}, "i1": {}}
-        for (src, inputs), targets in self.operations.items():
-            if not inputs:
-                raise GraphError("empty input sequence")
-            idem_src, gr_src = self.generators[src]
-            idem = "i" + idem_src
-            node, gr = roots[idem], 0
-            for a in inputs:
-                step = node.get(a)
-                if step is None:
-                    if left_idem(a) != idem:
-                        raise GraphError(f"idempotent mismatch in {inputs}")
-                    step = node[a] = ({}, right_idem(a), gr + grading(a))
-                node, idem, gr = step
-            want = (gr_src + gr + len(inputs) + 1) % 2
-            for t in targets:
-                if "i" + self.generators[t][0] != idem:
-                    raise GraphError(f"target idempotent mismatch in {inputs}")
-                if self.generators[t][1] != want:
+        gives.  Each node is visited once, with the idempotents its inputs
+        start and end in and their sum for the grading rule."""
+        if self.trie.ops:
+            raise GraphError("empty input sequence")
+        gens = self.generators
+        # (node, first idempotent, last idempotent, sum, path to the node as
+        # nested (input, parent path) pairs)
+        stack: list = [(node, *_INPUT[a], (a, ())) for a, node in self.trie.children.items()]
+        while stack:
+            node, first, last, gr, path = stack.pop()
+            for src, tgt in node.ops:
+                idem_src, gr_src = gens[src]
+                if idem_src != first:
+                    raise GraphError(f"idempotent mismatch in {_inputs(path)}")
+                idem_tgt, gr_tgt = gens[tgt]
+                if idem_tgt != last:
+                    raise GraphError(f"target idempotent mismatch in {_inputs(path)}")
+                if gr_tgt != gr_src ^ gr ^ 1:
                     raise GraphError("operation violates the grading rule")
+            for a, child in node.children.items():
+                left, right, ga = _INPUT[a]
+                if left != last:
+                    raise GraphError(f"idempotent mismatch in {_inputs((a, path))}")
+                stack.append((child, first, right, gr ^ ga, (a, path)))
 
     @cached_property
-    def trie(self) -> _Trie:
-        """The operations in a trie of their inputs, built on first use."""
-        root = _Trie()
-        for (src, inputs), targets in self.operations.items():
-            node = root
-            for a in inputs:
-                node = node.child(a)
-            node.ops.append((src, targets))
-        return root
+    def operations(self) -> Dict[Tuple[Hashable, Tuple[str, ...]], Set[Hashable]]:
+        """The target sets keyed by (source, inputs), read off the trie on
+        first use; the oracle's own stages read only the trie."""
+        ops: Dict[Tuple[Hashable, Tuple[str, ...]], Set[Hashable]] = {}
+        stack = [(self.trie, ())]
+        while stack:
+            node, inputs = stack.pop()
+            for src, tgt in node.ops:
+                ops.setdefault((src, inputs), set()).add(tgt)
+            stack += [(child, inputs + (a,)) for a, child in node.children.items()]
+        return ops
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TypeAStructure):
+            return NotImplemented
+        return (self.generators, self.operations) == (other.generators, other.operations)
+
+
+def _inputs(path) -> Tuple[str, ...]:
+    """The inputs along a check's nested path, first to last."""
+    out = []
+    while path:
+        a, path = path
+        out.append(a)
+    return tuple(reversed(out))
 
 
 # the runs a walk's open run can still grow into
@@ -179,39 +203,45 @@ def to_type_a(
         v: (idem, (gr[v] + (1 if idem == "0" else 0)) % 2)
         for v, idem in g.vertices.items()
     }
-    outs: Dict[Hashable, List[Tuple[Hashable, str]]] = {v: [] for v in g.vertices}
-    for s, t, label in g.edges:
-        outs[s].append((t, _RELABEL[label]))
-    ops: Counter = Counter()
+    outs = g.out_edges()
+    root = _Trie()
     for start in g.vertices:
-        # a walk: its end, its finished runs, its open run, and the match
-        # trie's node after the finished runs; a walk with max_len finished
-        # runs can no longer end an operation of at most max_len inputs
-        stack: List[Tuple[Hashable, Tuple[str, ...], str, Optional[_Trie]]] = [
-            (start, (), "", match_trie)]
+        # a walk: its end, the module trie's node after its finished runs
+        # and their number, its open run, and the match trie's node after
+        # the finished runs; a walk with max_len finished runs can no longer
+        # end an operation of at most max_len inputs
+        stack: List[Tuple[Hashable, _Trie, int, str, Optional[_Trie]]] = [
+            (start, root, 0, "", match_trie)]
         while stack:
-            v, runs, run, node = stack.pop()
+            v, node, n, run, match = stack.pop()
             if run:
-                ops[(start, runs + (run,), v)] += 1
+                # the walk's operation, counted mod 2
+                ops = node.child(run).ops
+                op = (start, v)
+                if op in ops:
+                    ops.remove(op)
+                else:
+                    ops.add(op)
             for t, lab in outs[v]:
                 closed, nrun = _STEPS[run, lab]
-                nruns = runs + closed if closed else runs
-                if len(nruns) >= max_len:
+                nn = n + len(closed)
+                if nn >= max_len:
                     continue
-                nnode = node
-                if node is not None:
+                nnode, nmatch = node, match
+                if closed:
+                    if match is not None:
+                        for r in closed:
+                            nmatch = nmatch.children.get(r)
+                            if nmatch is None:
+                                break
+                        if nmatch is None:
+                            continue
                     for r in closed:
-                        nnode = nnode.children.get(r)
-                        if nnode is None:
-                            break
-                    if nnode is None or _COMPLETIONS[nrun].isdisjoint(nnode.children):
-                        continue
-                stack.append((t, nruns, nrun, nnode))
-    operations: Dict[Tuple[Hashable, Tuple[str, ...]], Set[Hashable]] = {}
-    for (src, inputs, tgt), count in ops.items():
-        if count % 2:
-            operations.setdefault((src, inputs), set()).add(tgt)
-    a = TypeAStructure(gens, operations)
+                        nnode = nnode.child(r)
+                if match is not None and _COMPLETIONS[nrun].isdisjoint(nmatch.children):
+                    continue
+                stack.append((t, nnode, nn, nrun, nmatch))
+    a = TypeAStructure(gens, root)
     a.check()
     return a
 
@@ -333,8 +363,7 @@ def box_tensor(a: TypeAStructure, d: DecoratedGraph, component: Hashable = 0) ->
     # in the idempotents of x and its targets
     while stack:
         y, v, node = stack.pop()
-        for x, targets in node.ops:
-            found += [((x, y), (x2, v)) for x2 in targets]
+        found += [((x, y), (x2, v)) for x, x2 in node.ops]
         for t, label in outs[v]:
             child = node.children.get(label)
             if child is not None:
@@ -387,15 +416,19 @@ _SOLID_TORUS_CACHE: Dict[int, TypeAStructure] = {}
 def _solid_torus_module(max_len: int) -> TypeAStructure:
     """Type A module of the standard solid torus (e) with operations of up to
     L inputs, L >= max_len a power of two: one generator x in i0 of grading
-    1, and m(x, rho3, rho23^k, rho2) = x for 0 <= k <= L - 2."""
+    1, and m(x, rho3, rho23^k, rho2) = x for 0 <= k <= L - 2.  Its trie is
+    one path of rho3 and rho23s with a rho2 leaf off each node."""
     # round the operation length up so a handful of cache entries serve all
     key = 1 << max(3, max_len - 1).bit_length()
     if key not in _SOLID_TORUS_CACHE:
         x = 0  # the one vertex of word_to_graph of (e)
-        a = TypeAStructure(
-            {x: ("0", 1)},
-            {(x, ("3",) + ("23",) * k + ("2",)): {x} for k in range(key - 1)},
-        )
+        root = _Trie()
+        node = root.child("3")
+        for k in range(key - 1):
+            if k:
+                node = node.child("23")
+            node.child("2").ops.add((x, x))
+        a = TypeAStructure({x: ("0", 1)}, root)
         a.check()
         _SOLID_TORUS_CACHE[key] = a
     return _SOLID_TORUS_CACHE[key]

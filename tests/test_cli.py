@@ -166,6 +166,10 @@ BAD_INPUTS = [
      "bad slope 'x': a slope is p/q, an integer, or inf, with at most one '/'"),
     (["fill", "(e)", "1/y"], 1,
      "bad slope '1/y': a slope is p/q, an integer, or inf, with at most one '/'"),
+    (["fill", "(e)", "99999999999999999999/3"], 1,
+     "too large to compute with: 99999999999999999999"),
+    (["fill", "(d99999999999999999999)", "1"], 1,
+     "too large to compute with: 99999999999999999999"),
 ]
 
 

@@ -23,6 +23,7 @@ from loopfloer.loops import graph_to_words, word_to_graph
 from loopfloer.oracle import (
     TypeAStructure,
     _RELABEL,
+    _Trie,
     _reparametrized_word,
     _solid_torus_module,
     box_tensor,
@@ -75,6 +76,17 @@ def _prefix_alive(digits, trie):
     return any(c in node.children for c in _COMPLETIONS[tokens[-1]])
 
 
+def _module(gens, operations):
+    """A TypeAStructure from target sets keyed by (source, inputs)."""
+    root = _Trie()
+    for (src, inputs), targets in operations.items():
+        node = root
+        for a in inputs:
+            node = node.child(a)
+        node.ops.update((src, t) for t in targets)
+    return TypeAStructure(gens, root)
+
+
 def _reference_type_a(g, max_len, match_trie=None):
     """to_type_a by re-reading each walk's whole digit string at every step."""
     gr = g.gradings()
@@ -99,7 +111,7 @@ def _reference_type_a(g, max_len, match_trie=None):
     for (src, inputs, tgt), count in ops.items():
         if count % 2:
             operations.setdefault((src, inputs), set()).add(tgt)
-    return TypeAStructure(gens, operations)
+    return _module(gens, operations)
 
 
 def _reference_box_tensor(a, d, component=0):
@@ -355,6 +367,23 @@ def test_bounded_graphs_are_sorted_once(monkeypatch):
     assert sorts["inside"] > 0 and sorts["after"] == 0
 
 
+def test_pairings_read_only_the_trie(monkeypatch):
+    """pair_complex and fill_oracle read type A modules through their tries,
+    never through the operations view."""
+
+    def unread(self):
+        raise AssertionError("TypeAStructure.operations was read")
+
+    monkeypatch.setattr(TypeAStructure, "operations", property(unread))
+    monkeypatch.setattr(oracle, "_SOLID_TORUS_CACHE", {})
+    for text in ("e", "e*", "d3", "a1 b1 c-2", "a-2 d-3 d-2 e d1 b-3"):
+        for s in (Slope(1, 0), Slope(0, 1), Slope(-3, 2), Slope(5, 7)):
+            fill_oracle(Loop.from_text(text), s)
+    big = [Loop.from_text("a-2 d-3 d-2 e d1 b-3"), Loop.from_text("d3")]
+    pair_complex(big, [Loop.from_text("e"), Loop.from_text("a1 b1 c-2")])
+    pair_complex([Loop.from_text("e")], big)
+
+
 def test_pair_components_are_per_loop_pairs():
     loops1 = [Loop.from_text("e"), Loop.from_text("d1")]
     loops2 = [Loop.from_text("e")]
@@ -387,7 +416,7 @@ def test_type_a_check_rejects_bad_operations():
     x, u, v = ("x",), ("u",), ("v",)
     gens = {x: ("0", 1), u: ("1", 1), v: ("1", 0)}
     good = {(x, ("3",)): {u}}  # every bad case below shares its prefix
-    TypeAStructure(gens, good).check()
+    _module(gens, good).check()
     bad = [
         ({(x, ("3", "3")): {u}}, "idempotent mismatch"),
         ({(x, ("3", "2")): {u}}, "target idempotent mismatch"),
@@ -396,7 +425,7 @@ def test_type_a_check_rejects_bad_operations():
     ]
     for ops, reason in bad:
         with pytest.raises(GraphError, match=reason):
-            TypeAStructure(gens, {**good, **ops}).check()
+            _module(gens, {**good, **ops}).check()
 
 
 @settings(max_examples=30, deadline=None)
