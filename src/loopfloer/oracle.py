@@ -5,10 +5,13 @@ The right-module structure of a reduced decorated graph is obtained by
 relabelling each edge with subscripts 1 <-> 3 swapped (2 fixed), then reading
 every directed walk: the concatenated digit string of a walk is re-parsed
 greedily into maximal increasing runs, which are the algebra inputs of one
-multiplication.  A walk is parsed as it grows, one label at a time.  Pairing
-a type A structure with a bounded graph gives a chain complex whose
-differential matches operation inputs against directed label paths, plus one
-differential per identity edge.  All multiplicities are mod 2.
+multiplication.  A walk is parsed as it grows, one label at a time, and
+carries the node of its finished runs in a trie of inputs; each operation
+it finds is counted mod 2 at the node of its inputs.  That trie is the
+module: its check visits each node once, and pairing it with a bounded
+graph gives a chain complex whose differential matches operation inputs
+against directed label paths read through the trie, plus one differential
+per identity edge.  All multiplicities are mod 2.
 
 `fill_oracle` shares no route with the fast filling past the alphabet
 conversion: it runs the twist chain of the reparametrization on raw words,
