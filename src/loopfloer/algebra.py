@@ -337,19 +337,21 @@ class ChainComplexF2:
     differential: Set[Tuple[Hashable, Hashable]]
 
     def check(self) -> None:
-        grs = {gid: g for (gid, g, _) in self.generators}
-        comps = {gid: c for (gid, _, c) in self.generators}
-        outs: Dict[Hashable, Set[Hashable]] = {gid: set() for gid in grs}
+        graded = {gid: (g, c) for gid, g, c in self.generators}
+        outs: Dict[Hashable, Set[Hashable]] = {}
         for s, t in self.differential:
-            if grs[t] != (grs[s] + 1) % 2:
+            gs, cs = graded[s]
+            gt, ct = graded[t]
+            if gt != (gs + 1) % 2:
                 raise GraphError("differential does not flip the grading")
-            if comps[s] != comps[t]:
+            if cs != ct:
                 raise GraphError("differential crosses components")
-            outs[s].add(t)
+            outs.setdefault(s, set()).add(t)
+        no_targets: Set[Hashable] = set()
         for targets in outs.values():
             square: Set[Hashable] = set()
             for t in targets:
-                square ^= outs[t]
+                square ^= outs.get(t, no_targets)
             if square:
                 raise GraphError("differential does not square to zero")
 

@@ -66,7 +66,7 @@ _STEPS = {(run, label): _append_label(run, relabelled)
 
 
 class _Trie:
-    """A trie node over algebra inputs.  In a type A module, ops holds the
+    """A node of a type A module's trie of algebra inputs: ops holds the
     (source, target) pairs of the operations whose inputs end here."""
 
     __slots__ = ("children", "ops")
@@ -163,31 +163,43 @@ _COMPLETIONS = {
 }
 
 
-def label_path_trie(g: DecoratedGraph) -> _Trie:
+class _PathTrie:
+    """A node of the trie of the label sequences along directed
+    non-identity paths of a bounded graph: the vertices those paths end at.
+    Children are worked out on first use, so a walk that reads the trie
+    pays only for the nodes it reaches."""
+
+    __slots__ = ("ends", "outs", "_children")
+
+    def __init__(self, ends, outs):
+        self.ends = ends
+        self.outs = outs
+        self._children: Optional[Dict[str, "_PathTrie"]] = None
+
+    @property
+    def children(self) -> Dict[str, "_PathTrie"]:
+        if self._children is None:
+            ends: Dict[str, Set[Hashable]] = {}
+            for v in self.ends:
+                for t, label in self.outs[v]:
+                    if label is not IDENT:
+                        ends.setdefault(label, set()).add(t)
+            self._children = {label: _PathTrie(ts, self.outs) for label, ts in ends.items()}
+        return self._children
+
+
+def label_path_trie(g: DecoratedGraph) -> _PathTrie:
     """Trie of the label sequences of all directed non-identity paths of a
     bounded graph, over every start vertex."""
-    if g.has_directed_cycle():
-        raise GraphError("label path enumeration needs a bounded graph")
-    outs: Dict[Hashable, List[Tuple[Hashable, str]]] = {v: [] for v in g.vertices}
-    for s, t, label in g.edges:
-        if label is not IDENT:
-            outs[s].append((t, label))
-    trie = _Trie()
-    for v in g.vertices:
-        # depth-first, with an explicit stack: paths run to hundreds of edges
-        stack = [(trie, iter(outs[v]))]
-        while stack:
-            node, edges = stack[-1]
-            for t, lab in edges:
-                stack.append((node.child(lab), iter(outs[t])))
-                break
-            else:
-                stack.pop()
-    return trie
+    try:
+        _, outs = g.acyclic_topology()
+    except GraphError:
+        raise GraphError("label path enumeration needs a bounded graph") from None
+    return _PathTrie(g.vertices, outs)
 
 
 def to_type_a(
-    g: DecoratedGraph, max_len: int, match_trie: Optional[_Trie] = None
+    g: DecoratedGraph, max_len: int, match_trie: Optional[_PathTrie] = None
 ) -> TypeAStructure:
     """Type A structure of a reduced graph, with operations of input length
     at most max_len.
@@ -213,7 +225,7 @@ def to_type_a(
         # and their number, its open run, and the match trie's node after
         # the finished runs; a walk with max_len finished runs can no longer
         # end an operation of at most max_len inputs
-        stack: List[Tuple[Hashable, _Trie, int, str, Optional[_Trie]]] = [
+        stack: List[Tuple[Hashable, _Trie, int, str, Optional[_PathTrie]]] = [
             (start, root, 0, "", match_trie)]
         while stack:
             v, node, n, run, match = stack.pop()
@@ -340,11 +352,13 @@ def box_tensor(a: TypeAStructure, d: DecoratedGraph, component: Hashable = 0) ->
     except GraphError:
         raise GraphError("box tensor needs a bounded second factor") from None
     gr_d = d.gradings()
+    graded: Dict[str, List[Tuple[Hashable, int]]] = {"0": [], "1": []}
+    for y, idem_y in d.vertices.items():
+        graded[idem_y].append((y, gr_d[y]))
     generators: List[Tuple[Hashable, int, Hashable]] = [
-        ((x, y), (gr_x + gr_d[y]) % 2, component)
+        ((x, y), gr_x ^ gr_y, component)
         for x, (idem_x, gr_x) in a.generators.items()
-        for y, idem_y in d.vertices.items()
-        if idem_x == idem_y
+        for y, gr_y in graded[idem_x]
     ]
     by_idem: Dict[str, List[Hashable]] = {"0": [], "1": []}
     for x, (idem_x, _) in a.generators.items():
@@ -381,19 +395,21 @@ def _merge_complex(parts: List[ChainComplexF2]) -> ChainComplexF2:
     gens: List[Tuple[Hashable, int, Hashable]] = []
     diff: Set[Tuple[Hashable, Hashable]] = set()
     for i, c in enumerate(parts):
-        for gid, g, comp in c.generators:
-            gens.append(((i, gid), g, comp))
-        for s, t in c.differential:
-            diff.add(((i, s), (i, t)))
+        gens += [((i, gid), g, comp) for gid, g, comp in c.generators]
+        diff.update([((i, s), (i, t)) for s, t in c.differential])
     return ChainComplexF2(gens, diff)
 
 
 def pair_complex(loops1, loops2) -> ChainComplexF2:
-    """Chain complex of the pairing, one component per pair of loops."""
+    """Chain complex of the pairing, one component per pair of loops.
+
+    Each graph is built once and keeps its gradings and out-edges, so its
+    set-up serves every pair it is in; each bounded graph also has its
+    longest path and its label path trie found once."""
     graphs1 = [word_to_graph(l.word) for l in as_loops(loops1)]
-    # walk enumeration only branches on larger graphs; the trie that
-    # restricts it to sequences realized in the other factor costs a full
-    # path enumeration there, so tiny modules go without it
+    # walk enumeration only branches on larger graphs, so tiny modules are
+    # walked whole, without the trie that restricts walks to sequences
+    # realized in the other factor
     small = [len(g.vertices) <= 6 for g in graphs1]
     sides = []
     for l2 in as_loops(loops2):
