@@ -105,6 +105,23 @@ def test_reduce_identity_free_graph_unchanged():
     assert r.vertices == g.vertices and r.edges == g.edges
 
 
+def test_kept_gradings_and_out_edges_follow_graph_edits():
+    g = DecoratedGraph()
+    g.add_vertex(0, "0")
+    g.add_vertex(1, "1")
+    g.add_edge(0, 1, "1")
+    assert dict(g.gradings()) == {0: 0, 1: 1}
+    assert g.out_edges() == {0: [(1, "1")], 1: []}
+    with pytest.raises(TypeError):
+        g.gradings()[1] = 0  # a read-only view of the kept grading
+    g.add_vertex(2, "0")
+    assert dict(g.gradings()) == {0: 0, 1: 1, 2: 0}
+    assert g.out_edges() == {0: [(1, "1")], 1: [], 2: []}
+    g.add_edge(1, 2, "2")
+    assert dict(g.gradings()) == {0: 0, 1: 1, 2: 1}
+    assert g.out_edges() == {0: [(1, "1")], 1: [(2, "2")], 2: []}
+
+
 def test_reduce_confluent_on_loop_graphs(corpus):
     from loopfloer.loops import graph_to_words, word_to_graph
     from loopfloer.oracle import make_bounded
