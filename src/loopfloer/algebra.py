@@ -74,11 +74,6 @@ class GraphError(ValueError):
     pass
 
 
-# a topological order of a graph's vertices, and each vertex's (target,
-# label) out-edges
-Topology = Tuple[List[Hashable], Dict[Hashable, List[Tuple[Hashable, Optional[str]]]]]
-
-
 @dataclass
 class DecoratedGraph:
     """Directed graph with i0 ('0', drawn as a bullet) / i1 ('1', circle)
@@ -88,19 +83,18 @@ class DecoratedGraph:
     allowed.  Vertex ids must be hashable and mutually comparable so that a
     deterministic base point exists in every component.
 
-    `topology` holds a topological order of an acyclic graph and each
-    vertex's (target, label) out-edges, kept by whoever proved the graph
-    acyclic (make_bounded, through sort_topologically) so that later stages
-    need not sort it again.  `outs` and `grades` hold the out-edges and the
-    relative grading once `out_edges` and `gradings` have computed them, so
-    that each pairing a graph takes part in reads them.  add_vertex and
-    add_edge clear all three; code that edits `vertices` or `edges` directly
-    must clear them too.
+    `topology` holds a topological order once `sort_topologically` has
+    found the graph acyclic, so that later stages need not sort it again.
+    `outs` and `grades` hold the out-edges and the relative grading once
+    `out_edges` and `gradings` have computed them, so that each pairing a
+    graph takes part in reads them.  add_vertex and add_edge clear all
+    three; code that edits `vertices` or `edges` directly must clear them
+    too.
     """
 
     vertices: Dict[Hashable, str] = field(default_factory=dict)
     edges: List[Tuple[Hashable, Hashable, Optional[str]]] = field(default_factory=list)
-    topology: Optional[Topology] = field(default=None, compare=False, repr=False)
+    topology: Optional[List[Hashable]] = field(default=None, compare=False, repr=False)
     outs: Optional[Dict[Hashable, List[Tuple[Hashable, Optional[str]]]]] = field(
         default=None, compare=False, repr=False)
     grades: Optional[Dict[Hashable, int]] = field(default=None, compare=False, repr=False)
@@ -205,13 +199,12 @@ class DecoratedGraph:
             self.outs = outs
         return self.outs
 
-    def _topological_order(self) -> Topology:
-        """Kahn's order and each vertex's (target, label) out-edges; the
-        order leaves out every vertex on or after a directed cycle."""
+    def _topological_order(self) -> List[Hashable]:
+        """Kahn's order; it leaves out every vertex on or after a directed
+        cycle."""
+        outs = self.out_edges()
         indeg = dict.fromkeys(self.vertices, 0)
-        outs: Dict[Hashable, List[Tuple[Hashable, Optional[str]]]] = {v: [] for v in self.vertices}
-        for s, t, label in self.edges:
-            outs[s].append((t, label))
+        for _, t, _ in self.edges:
             indeg[t] += 1
         order = [v for v, d in indeg.items() if d == 0]
         for v in order:  # grows while it is walked
@@ -220,35 +213,24 @@ class DecoratedGraph:
                 indeg[t] = d
                 if not d:
                     order.append(t)
-        return order, outs
+        return order
 
     def sort_topologically(self) -> bool:
         """Whether the graph is acyclic; if it is, `topology` is set."""
-        order, outs = self._topological_order()
-        if len(order) != len(self.vertices):
-            return False
-        self.topology = order, outs
+        if self.topology is None:
+            order = self._topological_order()
+            if len(order) != len(self.vertices):
+                return False
+            self.topology = order
         return True
-
-    def acyclic_topology(self) -> Topology:
-        """`topology`, or the same from a Kahn pass when it is not set;
-        raises GraphError on a directed cycle."""
-        if self.topology is not None:
-            return self.topology
-        order, outs = self._topological_order()
-        if len(order) != len(self.vertices):
-            raise GraphError("graph has a directed cycle")
-        return order, outs
-
-    def has_directed_cycle(self) -> bool:
-        return (self.topology is None
-                and len(self._topological_order()[0]) != len(self.vertices))
 
     def longest_path_edges(self) -> int:
         """Length (in edges) of the longest directed path; requires acyclic."""
-        order, outs = self.acyclic_topology()
+        if not self.sort_topologically():
+            raise GraphError("graph has a directed cycle")
+        outs = self.out_edges()
         dist = dict.fromkeys(self.vertices, 0)
-        for v in order:
+        for v in self.topology:
             dt = dist[v] + 1
             for t, _ in outs[v]:
                 if dist[t] < dt:

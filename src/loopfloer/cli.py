@@ -36,6 +36,7 @@ from .plumbing import (
     hf_dim_closed,
     n_t_tree,
     parse_tree,
+    plumbing_det,
 )
 from .twists import INFINITY, ZERO_SLOPE, FillingResult, Slope, ex, fill, twist
 
@@ -136,11 +137,12 @@ def _cmd_hf(args) -> None:
     except (PipelineError, TreeError) as err:
         raise DomainError(str(err)) from None
     if args.oracle:
-        slow_dim, slow_l = hf_dim_closed(tree, use_fast=False)
-        if (slow_dim, slow_l) != (dim, lspace):
-            raise DomainError(
-                f"oracle mismatch: fast ({dim},{lspace}) vs fill ({slow_dim},{slow_l})"
-            )
+        # |chi| of the invariant is |H_1| = |det|, which shares no step with
+        # the pipeline: dim >= |det| with the same parity, and equality
+        # (when H_1 is finite) makes an L-space
+        det = abs(plumbing_det(tree))
+        if dim < det or (dim - det) % 2 or lspace != (dim == det != 0):
+            raise DomainError(f"oracle mismatch: dim={dim} lspace={lspace} against |det|={det}")
     _emit(
         {"dim": dim, "is_lspace": lspace},
         f"dim={dim} lspace={'yes' if lspace else 'no'}",
@@ -325,6 +327,11 @@ def run(argv: Optional[List[str]] = None) -> int:
         big = [n for a in argv for n in re.findall(r"\d+", a) if int(n) > sys.maxsize]
         what = ", ".join(big) or "a number the input leads to"
         print(json.dumps({"error": f"too large to compute with: {what}"}), file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the plumbing pipeline recurses once per vertex along a path
+        print(json.dumps({"error": "too deep to compute with: the recursion limit was reached"}),
+              file=sys.stderr)
         return 1
     return 0
 

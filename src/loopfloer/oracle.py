@@ -13,6 +13,10 @@ graph gives a chain complex whose differential matches operation inputs
 against directed label paths read through the trie, plus one differential
 per identity edge.  All multiplicities are mod 2.
 
+Every graph here is the graph of one loop, a single cycle, so splitting
+one edge bounds it.  In a pairing, each module's walks run through the
+trie of the bounded side's label paths and stop where no path can follow.
+
 `fill_oracle` shares no route with the fast filling past the alphabet
 conversion: it runs the twist chain of the reparametrization on raw words,
 never canonicalizing and never building a `Loop`, and pairs the result with
@@ -191,11 +195,9 @@ class _PathTrie:
 def label_path_trie(g: DecoratedGraph) -> _PathTrie:
     """Trie of the label sequences of all directed non-identity paths of a
     bounded graph, over every start vertex."""
-    try:
-        _, outs = g.acyclic_topology()
-    except GraphError:
-        raise GraphError("label path enumeration needs a bounded graph") from None
-    return _PathTrie(g.vertices, outs)
+    if not g.sort_topologically():
+        raise GraphError("label path enumeration needs a bounded graph")
+    return _PathTrie(g.vertices, g.out_edges())
 
 
 def to_type_a(
@@ -269,73 +271,38 @@ _SPLITS = {
 
 
 def make_bounded(g: DecoratedGraph) -> DecoratedGraph:
-    """Split edges until no directed cycle remains.
+    """Split one edge of a loop's graph if it has a directed cycle.
 
-    A rho12 edge u -> w becomes u -> n1 <- n2 -> w with labels rho1, identity,
+    A loop's graph is a single cycle, which is directed only when every edge
+    runs the same way round, and then splitting any one edge bounds it.  A
+    rho12 edge u -> w becomes u -> n1 <- n2 -> w with labels rho1, identity,
     rho2 (similarly rho123 via rho1/rho23, and rho23 via rho2/rho3); edge
     reduction recovers the original graph, so the result is homotopy
-    equivalent.  Vertex ids are ints, as word_to_graph numbers them, and the
-    new vertices take the ids after the largest.  The result keeps the
-    topology of its last acyclicity test.  Raises when a directed
-    cycle has no splittable edge.
+    equivalent.  The split edge is the first splittable one.  Vertex ids
+    are ints, as word_to_graph numbers them, and the new vertices take the
+    ids after the largest.  The result keeps its topological order.  Raises
+    when no edge is splittable, or when the split leaves a directed cycle,
+    which only a graph that is not one loop's can do.
     """
     g = g.copy()
-    fresh = max(g.vertices, default=-1) + 1
-    while not g.sort_topologically():
-        cycle = _find_directed_cycle(g)
-        candidates = [e for e in cycle if g.edges[e][2] in _SPLITS]
-        if not candidates:
+    if not g.sort_topologically():
+        ei = next((i for i, (_, _, label) in enumerate(g.edges) if label in _SPLITS), None)
+        if ei is None:
             raise GraphError("cannot bound: directed cycle without a splittable edge")
-        ei = min(candidates)
         src, tgt, label = g.edges[ei]
         first, second, idem = _SPLITS[label]
-        n1, n2 = fresh, fresh + 1
-        fresh += 2
+        n1 = max(g.vertices) + 1
+        n2 = n1 + 1
         g.add_vertex(n1, idem)
         g.add_vertex(n2, idem)
         del g.edges[ei]
         g.add_edge(src, n1, first)
         g.add_edge(n2, n1, IDENT)
         g.add_edge(n2, tgt, second)
+        if not g.sort_topologically():
+            raise GraphError("cannot bound: one split leaves a directed cycle")
     g.check()
     return g
-
-
-def _find_directed_cycle(g: DecoratedGraph) -> List[int]:
-    """Indices of the edges of some directed cycle."""
-    outs: Dict[Hashable, List[int]] = {v: [] for v in g.vertices}
-    for i, (s, _, _) in enumerate(g.edges):
-        outs[s].append(i)
-    color: Dict[Hashable, int] = {}  # 1 while on the stack, 2 when finished
-    parent_edge: Dict[Hashable, int] = {}
-    for root in sorted(g.vertices):
-        if color.get(root, 0):
-            continue
-        color[root] = 1
-        # depth-first, with an explicit stack: cycles run to hundreds of edges
-        stack = [(root, iter(outs[root]))]
-        while stack:
-            v, edges = stack[-1]
-            for ei in edges:
-                t = g.edges[ei][1]
-                if color.get(t, 0) == 1:
-                    cycle = [ei]
-                    u = v
-                    while u != t:
-                        pe = parent_edge[u]
-                        cycle.append(pe)
-                        u = g.edges[pe][0]
-                    cycle.reverse()
-                    return cycle
-                if color.get(t, 0) == 0:
-                    parent_edge[t] = ei
-                    color[t] = 1
-                    stack.append((t, iter(outs[t])))
-                    break
-            else:
-                color[v] = 2
-                stack.pop()
-    raise GraphError("no directed cycle")
 
 
 def box_tensor(a: TypeAStructure, d: DecoratedGraph, component: Hashable = 0) -> ChainComplexF2:
@@ -347,10 +314,9 @@ def box_tensor(a: TypeAStructure, d: DecoratedGraph, component: Hashable = 0) ->
     the trie of the operations' inputs.  The component marker tags every
     generator; d-squared and the grading flip are asserted.
     """
-    try:
-        _, outs = d.acyclic_topology()
-    except GraphError:
-        raise GraphError("box tensor needs a bounded second factor") from None
+    if not d.sort_topologically():
+        raise GraphError("box tensor needs a bounded second factor")
+    outs = d.out_edges()
     gr_d = d.gradings()
     graded: Dict[str, List[Tuple[Hashable, int]]] = {"0": [], "1": []}
     for y, idem_y in d.vertices.items():
@@ -405,22 +371,15 @@ def pair_complex(loops1, loops2) -> ChainComplexF2:
 
     Each graph is built once and keeps its gradings and out-edges, so its
     set-up serves every pair it is in; each bounded graph also has its
-    longest path and its label path trie found once."""
+    longest path and its label path trie found once, and every first-side
+    module is walked only along label sequences that trie holds."""
     graphs1 = [word_to_graph(l.word) for l in as_loops(loops1)]
-    # walk enumeration only branches on larger graphs, so tiny modules are
-    # walked whole, without the trie that restricts walks to sequences
-    # realized in the other factor
-    small = [len(g.vertices) <= 6 for g in graphs1]
     sides = []
     for l2 in as_loops(loops2):
         d = make_bounded(word_to_graph(l2.word))
-        trie = None if all(small) else label_path_trie(d)
-        sides.append((d, d.longest_path_edges(), trie))
-    parts = []
-    for i, g1 in enumerate(graphs1):
-        for j, (d, longest, trie) in enumerate(sides):
-            a = to_type_a(g1, max_len=longest, match_trie=None if small[i] else trie)
-            parts.append(box_tensor(a, d, component=(i, j)))
+        sides.append((d, d.longest_path_edges(), label_path_trie(d)))
+    parts = [box_tensor(to_type_a(g1, max_len=longest, match_trie=trie), d, component=(i, j))
+             for i, g1 in enumerate(graphs1) for j, (d, longest, trie) in enumerate(sides)]
     return _merge_complex(parts)
 
 

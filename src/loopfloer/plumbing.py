@@ -313,7 +313,7 @@ def _dual_fill_counts(l: _Internal) -> Tuple[int, int]:
     return circles - flips, abs(sum(ks))
 
 
-def hf_dim_closed(t: PlumbingTree, use_fast: bool = True) -> Tuple[int, bool]:
+def hf_dim_closed(t: PlumbingTree) -> Tuple[int, bool]:
     """Total dimension of the invariant of a closed plumbing tree, plus the
     L-space flag; requires at most one bad vertex."""
     if t.boundary is not None:
@@ -328,11 +328,36 @@ def hf_dim_closed(t: PlumbingTree, use_fast: bool = True) -> Tuple[int, bool]:
         adj = t.adjacency()
         attach = min(t.weights, key=lambda v: (-len(adj[v]), v))
     loops = cfd_internal(t.with_boundary(attach))
-    if use_fast:
-        res = FillingResult.from_counts(_dual_fill_counts(l) for l in loops)
-    else:
-        res = fill([_internal_to_loop(l) for l in loops], Slope(0, 1))
+    res = FillingResult.from_counts(_dual_fill_counts(l) for l in loops)
     return res.dim, res.is_lspace
+
+
+def plumbing_det(t: PlumbingTree) -> int:
+    """Determinant of the tree's intersection matrix (weights on the
+    diagonal, 1 for each edge), by fraction-free (Bareiss) elimination.  A
+    closed tree's |det| is the order of its first homology, 0 when that is
+    infinite."""
+    ids = sorted(t.weights)
+    n = len(ids)
+    idx = {v: i for i, v in enumerate(ids)}
+    m = [[0] * n for _ in ids]
+    for v, w in t.weights.items():
+        m[idx[v]][idx[v]] = w
+    for a, b in t.edges:
+        m[idx[a]][idx[b]] = m[idx[b]][idx[a]] = 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from loopfloer import Letter, Loop, PlumbingTree, Slope, classify_vertices
 from loopfloer.loops import word_violations
+from loopfloer.plumbing import plumbing_det
 
 _START = {"a": 2, "b": 1, "c": 2, "d": 1}
 _END = {"a": 2, "b": 1, "c": 1, "d": 2}
@@ -91,36 +92,9 @@ def random_good_bounded_tree(rng, max_vertices=6, weight_range=(-4, 4)):
         return t
 
 
-def bareiss_det(m):
-    """Exact determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination."""
-    m = [list(row) for row in m]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
-
-
 def tree_is_rational_homology_sphere(t):
     """Nonzero determinant of the plumbing intersection matrix."""
-    ids = sorted(t.weights)
-    idx = {v: i for i, v in enumerate(ids)}
-    m = [[0] * len(ids) for _ in ids]
-    for v, w in t.weights.items():
-        m[idx[v]][idx[v]] = w
-    for a, b in t.edges:
-        m[idx[a]][idx[b]] = m[idx[b]][idx[a]] = 1
-    return bareiss_det(m) != 0
+    return plumbing_det(t) != 0
 
 
 def all_good_closed_tree(rng, max_vertices=10, weight_range=(-5, 5)):

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import io
 import json
 import os
@@ -9,8 +11,12 @@ import pytest
 import loopfloer
 from loopfloer import Slope, SlopeSet, cli
 from loopfloer.cli import run
+from loopfloer.plumbing import format_tree, seifert_tree
 
 POINCARE = "v 0 -1\nv 1 -2\nv 2 -3\nv 3 -5\ne 0 1\ne 0 2\ne 0 3\n"
+# a star whose third leg has 600 vertices: the plumbing pipeline recurses
+# once per vertex along it
+DEEP_CONE = [(2, 1), (3, 1), (601, 600)]
 
 
 def invoke(capsys, *argv):
@@ -170,6 +176,8 @@ BAD_INPUTS = [
      "too large to compute with: 99999999999999999999"),
     (["fill", "(d99999999999999999999)", "1"], 1,
      "too large to compute with: 99999999999999999999"),
+    (["hf", format_tree(seifert_tree(-1, DEEP_CONE, bounded=False))], 1, "too deep to compute with"),
+    (["cfd", format_tree(seifert_tree(-1, DEEP_CONE))], 1, "too deep to compute with"),
 ]
 
 
@@ -206,3 +214,22 @@ def test_runtime_does_not_import_numpy():
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = "import loopfloer, loopfloer.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)
+
+
+def test_benchmark_traced_names_exist():
+    """Every (module, attribute) the benchmark's tracer wraps is still there:
+    deleting one would pass the rest of this suite and crash only traced
+    benchmark runs."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    lists = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and getattr(node.targets[0], "id", None) in ("TRACED", "TRACED_ONLY_IN")}
+    assert lists["TRACED"] and lists["TRACED_ONLY_IN"]
+    wanted = [(module, attr) for _, module, attr in lists["TRACED"]]
+    for _, module, attr, only in lists["TRACED_ONLY_IN"]:
+        wanted += [(module, attr), (only, attr)]
+    missing = [(module, attr) for module, attr in wanted
+               if not hasattr(importlib.import_module(f"loopfloer.{module}"), attr)]
+    assert missing == []

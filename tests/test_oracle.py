@@ -205,17 +205,47 @@ def test_make_bounded_examples():
     for text in ("e", "e e", "e* e*", "d3", "a1 b1 c-2"):
         g = word_to_graph(Loop.from_text(text).word)
         b = make_bounded(g)
-        assert not b.has_directed_cycle()
+        assert b.sort_topologically()
         r = reduce_graph(b)
         back = graph_to_words(r, "dual" if Loop.from_text(text).star else "standard")
         total = sum(len(w) for w in back)
         assert total == len(Loop.from_text(text).word)
 
 
+@settings(max_examples=200, deadline=None)
+@given(oracle_loops())
+def test_make_bounded_splits_at_most_once(l):
+    g = word_to_graph(l.word)
+    b = make_bounded(g)
+    assert len(b.vertices) <= len(g.vertices) + 2
+    assert b.sort_topologically()
+    (back,) = graph_to_words(reduce_graph(b), "dual" if l.star else "standard")
+    assert Loop(back) == l
+
+
+def test_make_bounded_rejects_graphs_one_split_cannot_bound():
+    # two rho12 self-loops: one split leaves the other directed cycle
+    g = DecoratedGraph()
+    g.add_vertex(0, "0")
+    g.add_vertex(1, "0")
+    g.add_edge(0, 0, "12")
+    g.add_edge(1, 1, "12")
+    with pytest.raises(GraphError, match="leaves a directed cycle"):
+        make_bounded(g)
+    # a rho1, rho2 cycle has no edge to split
+    g = DecoratedGraph()
+    g.add_vertex(0, "0")
+    g.add_vertex(1, "1")
+    g.add_edge(0, 1, "1")
+    g.add_edge(1, 0, "2")
+    with pytest.raises(GraphError, match="without a splittable edge"):
+        make_bounded(g)
+
+
 def test_make_bounded_acyclic_unchanged():
     g = word_to_graph(Loop.from_text("a1 b1 c-2").word)
     # the trefoil graph has a backwards arrow, so it is already bounded
-    assert not g.has_directed_cycle()
+    assert g.sort_topologically()
     assert make_bounded(g).edges == g.edges
 
 
@@ -312,7 +342,7 @@ def _bounded_variants(g):
         h.add_edge(src, n1, first)
         h.add_edge(n2, n1, IDENT)
         h.add_edge(n2, tgt, second)
-        if not h.has_directed_cycle():
+        if h.sort_topologically():
             out.append(h)
     return out
 
@@ -324,7 +354,7 @@ def test_bounded_edge_choice_invariance(corpus):
     base_a = word_to_graph(Loop.from_text("e").word)
     for loop in corpus:
         g = word_to_graph(loop.word)
-        if not g.has_directed_cycle():
+        if g.sort_topologically():
             continue
         variants = _bounded_variants(g)
         if len(variants) < 2:
