@@ -1,7 +1,8 @@
 """Census of L-space intervals over random pipeline trees.
 
 Prints, for each sampled single-boundary tree: its loops, rational
-longitude, and the exact interval of L-space slopes.
+longitude, and the interval of L-space slopes, exact where simple-loop
+normalization applies and tagged [sweep-certified to depth 6] otherwise.
 
     python scripts/census_intervals.py [--count N] [--seed S]
 """

@@ -1,8 +1,9 @@
 """Randomized cross-check of every fast rule against the pairing oracle.
 
 Samples valid loops, sweeps slopes with small numerator and denominator,
-and compares the fast filling counts with the box-tensor homology; then
-samples pipeline trees and compares the gluing decision with the pairing.
+and compares the fast filling counts with the box-tensor homology and each
+loop's L-space interval membership with the oracle's verdict; then samples
+pipeline trees and compares the gluing decision with the pairing.
 
     python scripts/oracle_crosscheck.py [--loops N] [--pairs N] [--seed S]
 """
@@ -15,7 +16,15 @@ import time
 
 sys.path.insert(0, "tests")
 
-from loopfloer import Slope, cfd, fill, fill_oracle, glue_is_lspace, pair_is_lspace
+from loopfloer import (
+    Slope,
+    cfd,
+    fill,
+    fill_oracle,
+    glue_is_lspace,
+    lspace_interval,
+    pair_is_lspace,
+)
 from loopfloer.loops import format_loops
 
 
@@ -39,6 +48,7 @@ def main() -> None:
     checks = 0
     for _ in range(args.loops):
         loop = random_loop(rng)
+        interval = lspace_interval(loop)
         for s in slopes:
             fast = fill(loop, s)
             slow = fill_oracle(loop, s)
@@ -49,8 +59,12 @@ def main() -> None:
             ):
                 print(f"FILL MISMATCH {loop} at {s}: {fast} vs {slow}")
                 raise SystemExit(1)
+            if interval.contains(s) != slow.is_lspace:
+                print(f"INTERVAL MISMATCH {loop} at {s}: {interval} vs {slow}")
+                raise SystemExit(1)
             checks += 1
     print(f"fillings: {checks} checks agree ({time.time() - t0:.1f}s)")
+    print(f"intervals: {checks} memberships agree")
 
     pool = []
     while len(pool) < 24:

@@ -1,15 +1,20 @@
 """L-space slope detection: slope predicates, simple-loop normalization,
-and exact L-space intervals.
+and L-space intervals.
 
 Slope sets live on the circle of extended rationals with the cyclic order
 that increases through the finite rationals and wraps at infinity.  A closed
-arc is traversed from its first endpoint to its second in that order.
+arc is traversed from its first endpoint to its second in that order.  With
+p/q read as the vector (q, p), x lies strictly inside the arc from a to b
+exactly when det(a, x) det(x, b) det(a, b) > 0.
+
+"Simple" below means twist-reducible to an all-unstable word, the paper's
+hypothesis for normalization; it is not Floer simplicity (an L-space slope
+set with interior), which some loops that fail it still have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,7 +31,6 @@ from .loops import (
     word_or_none,
 )
 from .twists import (
-    INFINITY,
     Slope,
     TwistWord,
     ZERO_SLOPE,
@@ -39,41 +43,19 @@ from .twists import (
 # cyclic order and slope sets
 
 
-def _ordinal(x: Slope, origin: Slope):
-    """Sort key for travelling from origin in increasing cyclic order."""
-    if x == origin:
-        return (0, Fraction(0))
-    if origin.is_infinite:
-        return (1, x.fraction())
-    xo = origin.fraction()
-    if not x.is_infinite:
-        xf = x.fraction()
-        if xf > xo:
-            return (1, xf)
-        return (3, xf)
-    return (2, Fraction(0))
+def in_open_arc(x: Slope, a: Slope, b: Slope) -> bool:
+    """Whether x lies strictly inside the arc from a to b (never when a == b)."""
+    return a.det(x) * x.det(b) * a.det(b) > 0
 
 
 def in_closed_arc(x: Slope, a: Slope, b: Slope) -> bool:
     """Whether x lies on the closed arc from a to b."""
-    if a == b:
-        return x == a
-    return _ordinal(x, a) <= _ordinal(b, a)
-
-
-def in_open_arc(x: Slope, a: Slope, b: Slope) -> bool:
-    if x == a or x == b or a == b:
-        return False
-    return in_closed_arc(x, a, b)
+    return x == a or x == b or in_open_arc(x, a, b)
 
 
 def arc_in_open_arc(c: Slope, d: Slope, a: Slope, b: Slope) -> bool:
     """Whether the closed arc [c -> d] is contained in the open arc (a -> b)."""
-    if a == b:
-        return False
-    if not (in_open_arc(c, a, b) and in_open_arc(d, a, b)):
-        return False
-    return _ordinal(c, a) <= _ordinal(d, a)
+    return in_open_arc(c, a, b) and (d == c or in_open_arc(d, c, b))
 
 
 @dataclass(frozen=True)
@@ -113,8 +95,6 @@ class SlopeSet:
     def interior_contains(self, s: Slope) -> bool:
         if self.kind in ("empty", "all", "all_except"):
             return self.contains(s)
-        if self.a == self.b:
-            return False
         return in_open_arc(s, self.a, self.b)
 
     def reciprocal(self) -> "SlopeSet":
@@ -191,24 +171,14 @@ def _arc_intersection(x: SlopeSet, y: SlopeSet, cert: str) -> SlopeSet:
 def stern_brocot_slopes(depth: int) -> List[Slope]:
     """All slopes of tree depth at most `depth`, in increasing cyclic order
     starting at infinity (so the list is a full circle walk)."""
-    fracs: List[Fraction] = []
-
-    def descend(lo: Tuple[int, int], hi: Tuple[int, int], d: int) -> None:
-        if d > depth:
-            return
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        descend(lo, med, d + 1)
-        fracs.append(Fraction(med[0], med[1]))
-        descend(med, hi, d + 1)
-
-    # positive wing between 0/1 and 1/0, negative wing between -1/0 and 0/1
-    descend((0, 1), (1, 0), 1)
-    positives = list(fracs)
-    slopes = [INFINITY]
-    slopes += [Slope(-f.numerator, f.denominator) for f in reversed(positives)]
-    slopes.append(ZERO_SLOPE)
-    slopes += [Slope(f.numerator, f.denominator) for f in positives]
-    return slopes
+    # -1/0 and 1/0 are both infinity; the row keeps them apart as its ends
+    row = [(-1, 0), (0, 1), (1, 0)]
+    for _ in range(depth):
+        refined = row[:1]
+        for (p, q), (r, s) in zip(row, row[1:]):
+            refined += [(p + r, q + s), (r, s)]
+        row = refined
+    return [Slope(p, q) for p, q in row[:-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +281,8 @@ def _all_unstable_dual(l: Loop) -> bool:
 
 def _necessary_conditions(l: Loop) -> bool:
     """Stable-chain sign conditions every twist-reduction of an all-unstable
-    loop satisfies; failing them certifies non-simplicity."""
+    loop satisfies; failing them shows that no twists reduce the loop to an
+    all-unstable word, not that the loop is not Floer simple."""
     for alphabet in ("standard", "dual"):
         w = word_or_none(l, alphabet)
         if w is None:
@@ -375,7 +346,9 @@ def all_unstable_form(l: Loop, depth: int = DEPTH):
 
 
 def is_simple(l: Loop) -> str:
-    """'yes', 'no', or 'unknown': can twists remove all stable chains?"""
+    """'yes', 'no', or 'unknown': can twists remove all stable chains, i.e.
+    reduce the loop to an all-unstable word?  This is not Floer simplicity:
+    '(a-3 e b1)' is 'no' yet has strict L-space slopes."""
     if not _necessary_conditions(l):
         return "no"
     if all_unstable_form(l) is not None:
@@ -563,23 +536,12 @@ def _orient_arc(l: Loop, e1: Slope, e2: Slope) -> SlopeSet:
 
 
 def _arc_midpoint(a: Slope, b: Slope) -> Slope:
-    """Some slope strictly inside the arc from a to b (assumes a != b)."""
-    if a.is_infinite:  # arc is (-infinity, b)
-        f = b.fraction()
-        out = Slope(f.numerator - f.denominator, f.denominator)
-        assert in_open_arc(out, a, b)
-        return out
-    if b.is_infinite:  # arc is (a, +infinity)
-        f = a.fraction()
-        out = Slope(f.numerator + f.denominator, f.denominator)
-        assert in_open_arc(out, a, b)
-        return out
-    fa, fb = a.fraction(), b.fraction()
-    if fa < fb:
-        out = Slope(a.p + b.p, a.q + b.q)  # mediant sits strictly between
-        assert in_open_arc(out, a, b)
-        return out
-    return INFINITY  # the arc wraps through infinity
+    """Some slope strictly inside the arc from a to b (assumes a != b): the
+    vector sum of a and whichever of +-b lies less than half a turn onward."""
+    sign = 1 if a.det(b) > 0 else -1
+    out = Slope(a.p + sign * b.p, a.q + sign * b.q)
+    assert in_open_arc(out, a, b)
+    return out
 
 
 def _sweep_interval(l: Loop, depth: int) -> SlopeSet:
@@ -587,8 +549,9 @@ def _sweep_interval(l: Loop, depth: int) -> SlopeSet:
     slopes = stern_brocot_slopes(depth)
     longitude = rational_longitude(l)
     if longitude is not None and longitude not in slopes:
-        slopes.append(longitude)
-        slopes = _sort_cyclic(slopes)
+        ends = zip(slopes, slopes[1:] + slopes[:1])
+        gap = next(i for i, (x, y) in enumerate(ends) if in_open_arc(longitude, x, y))
+        slopes.insert(gap + 1, longitude)
     member = [is_lspace_slope(l, s) for s in slopes]
     n = len(slopes)
     changes = [i for i in range(n) if member[i] != member[(i + 1) % n]]
@@ -609,27 +572,18 @@ def _sweep_interval(l: Loop, depth: int) -> SlopeSet:
         and sum(member) == n - 1
     ):
         return SlopeSet("all_except", longitude, certified=cert)
-    a = _refine_endpoint(l, slopes[(first_true - 1) % n], slopes[first_true], depth)
-    b = _refine_endpoint(l, slopes[(last_true + 1) % n], slopes[last_true], depth)
+    a = _refine_endpoint(l, slopes[first_true - 1], slopes[first_true], False, depth)
+    b = _refine_endpoint(l, slopes[last_true], slopes[(last_true + 1) % n], True, depth)
     return SlopeSet("closed_arc", a, b, certified=cert)
 
 
-def _refine_endpoint(l: Loop, out: Slope, inside: Slope, depth: int) -> Slope:
-    # 1/0 is also -1/0: next to a negative slope it is taken as -1/0, so that
-    # the mediants stay on the side of infinity where the two slopes meet
-    o, i = (out.p, out.q), (inside.p, inside.q)
-    if out.is_infinite and inside.p < 0:
-        o = (-1, 0)
-    if inside.is_infinite and out.p < 0:
-        i = (-1, 0)
+def _refine_endpoint(l: Loop, lo: Slope, hi: Slope, lo_inside: bool, depth: int) -> Slope:
+    """Bisect the arc from lo to hi, whose ends differ in membership (lo is
+    an L-space slope exactly when lo_inside), and return the inside end."""
     for _ in range(depth):
-        med = (o[0] + i[0], o[1] + i[1])
-        if is_lspace_slope(l, Slope(*med)):
-            i = med
+        mid = _arc_midpoint(lo, hi)
+        if is_lspace_slope(l, mid) == lo_inside:
+            lo = mid
         else:
-            o = med
-    return Slope(*i)
-
-
-def _sort_cyclic(slopes: List[Slope]) -> List[Slope]:
-    return sorted(set(slopes), key=lambda s: _ordinal(s, INFINITY))
+            hi = mid
+    return lo if lo_inside else hi

@@ -45,8 +45,6 @@ def aligned_intervals(i1: SlopeSet, i2: SlopeSet) -> bool:
         return True
     if i2.kind == "all_except":
         return not in_closed_arc(i2.a, c, d)
-    if i2.a == i2.b:
-        return False
     return arc_in_open_arc(c, d, i2.a, i2.b)
 
 

@@ -33,7 +33,8 @@ from .loops import (
 
 @dataclass(frozen=True)
 class Slope:
-    """A reduced extended rational p/q with q >= 0; infinity is 1/0."""
+    """A reduced extended rational p/q with q >= 0; infinity is 1/0.  As a
+    vector, p/q is the primitive (q, p), defined up to sign."""
 
     p: int
     q: int
@@ -53,7 +54,7 @@ class Slope:
     def parse(text: str) -> "Slope":
         """Read 'p/q', an integer p, or 'inf' (also 'infty', 'oo')."""
         text = text.strip()
-        if text in ("inf", "infty", "oo", "1/0"):
+        if text in ("inf", "infty", "oo"):
             return INFINITY
         p, slash, q = text.partition("/")
         try:
@@ -74,9 +75,12 @@ class Slope:
     def reciprocal(self) -> "Slope":
         return Slope(self.q, self.p)
 
+    def det(self, other: "Slope") -> int:
+        """det((q, p), (q', p')).  Its sign depends on the signs chosen for
+        the two vectors; a product in which each slope appears twice does not."""
+        return self.q * other.p - self.p * other.q
+
     def __str__(self):
-        if self.is_infinite:
-            return "1/0"
         if self.q == 1:
             return str(self.p)
         return f"{self.p}/{self.q}"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from typing import Optional, Sequence
 
@@ -15,6 +16,7 @@ from loopfloer import (
 )
 from loopfloer.detection import (
     SlopeSet,
+    _arc_midpoint,
     _case2,
     _case3,
     arc_in_open_arc,
@@ -47,6 +49,29 @@ def test_cyclic_order_basics():
     assert not arc_in_open_arc(s("1"), s("4"), s("0"), s("3"))
     # an arc that wraps outside is not contained even with both ends inside
     assert not arc_in_open_arc(s("2"), s("1"), s("0"), s("3"))
+
+
+def test_arcs_match_positions_in_the_cyclic_grid():
+    """Every triple and quadruple of depth-3 slopes, against membership read
+    off positions in the cyclic list; midpoints against the depth-6 list,
+    which holds every a +- b of two depth-3 slopes."""
+
+    def offsets(grid):
+        at = {x: i for i, x in enumerate(grid)}
+        return lambda x, a: (at[x] - at[a]) % len(grid)
+
+    grid = stern_brocot_slopes(3)
+    off = offsets(grid)
+    for a, b, x in itertools.product(grid, repeat=3):
+        assert in_closed_arc(x, a, b) == (off(x, a) <= off(b, a)), (x, a, b)
+        assert in_open_arc(x, a, b) == (0 < off(x, a) < off(b, a)), (x, a, b)
+    for a, b, c, d in itertools.product(grid, repeat=4):
+        inside = 0 < off(c, a) <= off(d, a) < off(b, a)
+        assert arc_in_open_arc(c, d, a, b) == inside, (c, d, a, b)
+    off6 = offsets(stern_brocot_slopes(6))
+    for a, b in itertools.product(grid, repeat=2):
+        if a != b:
+            assert 0 < off6(_arc_midpoint(a, b), a) < off6(b, a), (a, b)
 
 
 def test_slope_set_predicates():
@@ -82,13 +107,19 @@ def test_slope_set_reciprocal_and_complement():
     assert not rec.contains(s("1/3"))
 
 
-def test_stern_brocot_enumeration():
-    slopes = stern_brocot_slopes(3)
+@pytest.mark.parametrize("depth", range(8))
+def test_stern_brocot_enumeration(depth):
+    slopes = stern_brocot_slopes(depth)
     assert slopes[0] == INFINITY
-    assert len(slopes) == len(set(slopes)) == 2 * (2**3 - 1) + 2
+    assert len(slopes) == len(set(slopes)) == 2 * (2**depth - 1) + 2
     fracs = [x.fraction() for x in slopes[1:]]
     assert fracs == sorted(fracs)
-    assert Slope(1, 1) in slopes and Slope(-2, 3) in slopes
+    # cyclic neighbours, 1/0 with both ends included, are Farey neighbours
+    assert all(abs(x.det(y)) == 1 for x, y in zip(slopes, slopes[1:] + slopes[:1]))
+    if depth:
+        assert slopes[::2] == stern_brocot_slopes(depth - 1)
+    assert (Slope(1, 1) in slopes) == (depth >= 1)
+    assert (Slope(-2, 3) in slopes) == (depth >= 3)
 
 
 def test_lspace_slope_examples():
@@ -153,7 +184,7 @@ def test_case_predicates():
     assert _case2((1, 0, -1))
     assert not _case2((0, -1, 0, -1))
     assert not _case2((0, 0))
-    assert _case3((2, -1, 0, 1), 1) or True  # existence only; checked below
+    assert _case3((2, -1, 0, 1), 1)
     assert _case3((-1, 0, 2), 1)
     assert not _case3((-1, 0, -1), 1)
     assert _case3((1, 0, -2), -1)
@@ -164,6 +195,20 @@ def test_is_simple():
     assert is_simple(Loop.from_text("a1 b1 c-2")) == "yes"
     assert is_simple(Loop.from_text("a1 b1 a-1 b-1")) == "no"
     assert is_simple(Loop.from_text("a1 b1")) == "yes"
+
+
+def test_not_simple_is_not_floer_simple():
+    """'no' from is_simple says no twists reduce the loop to an all-unstable
+    word.  These loops still have strict L-space slopes, which the oracle
+    confirms together with the integer slopes on either side."""
+    from loopfloer import fill_oracle
+
+    for text, p in (("a-3 e b1", -1), ("a-1 b3", 0), ("a-1 d2 d2 b1", 0)):
+        loop = Loop.from_text(text)
+        assert is_simple(loop) == "no", text
+        assert is_strict_lspace_slope(loop, Slope(p, 1)), text
+        for x in (p - 1, p, p + 1):
+            assert fill_oracle(loop, Slope(x, 1)).is_lspace, (text, x)
 
 
 def test_intervals_examples():
