@@ -8,10 +8,11 @@ normalization applies and tagged [sweep-certified to depth 6] otherwise.
 """
 
 import argparse
+import os
 import random
 import sys
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
 
 from loopfloer import cfd, lspace_interval, rational_longitude
 from loopfloer.loops import format_loops

@@ -10,11 +10,12 @@ pipeline trees and compares the gluing decision with the pairing.
 
 import argparse
 import math
+import os
 import random
 import sys
 import time
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
 
 from loopfloer import (
     Slope,

@@ -62,7 +62,6 @@ from .twists import (
     FillingResult,
     Slope,
     TwistWord,
-    continued_fraction,
     ex,
     fill,
     reparametrize,

@@ -311,8 +311,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # keep argparse from reading negative slopes like -2/3 as options
-    argv = [" " + a if re.fullmatch(r"-\d+(/\d+)?", a) else a for a in argv]
+    # keep argparse from reading negative slopes like -2/3 or -inf as options
+    argv = [" " + a if re.fullmatch(r"-(\d+(/\d+)?|inf|infty|oo)", a) else a for a in argv]
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

@@ -397,60 +397,6 @@ class NotExpressible(WordError):
     pass
 
 
-def _recognize(chunk: List[Tuple[str, int]], star: bool) -> Letter:
-    """Letter for a list of (label, direction) steps between anchors."""
-    k = len(chunk) - 1
-    if not star:
-        if chunk == [("12", 1)]:
-            return intern_letter("d", 0)
-        if chunk == [("12", -1)]:
-            return intern_letter("c", 0)
-        first, last, mids = chunk[0], chunk[-1], chunk[1:-1]
-        if all(m == ("23", 1) for m in mids):
-            if first == ("3", 1) and last == ("2", 1):
-                return intern_letter("a", k)
-            if first == ("3", 1) and last == ("1", -1):
-                return intern_letter("c", k)
-            if first == ("123", 1) and last == ("2", 1):
-                return intern_letter("d", k)
-            if first == ("123", 1) and last == ("1", -1):
-                return intern_letter("b", k)
-        if all(m == ("23", -1) for m in mids):
-            if first == ("2", -1) and last == ("3", -1):
-                return intern_letter("a", -k)
-            if first == ("2", -1) and last == ("123", -1):
-                return intern_letter("c", -k)
-            if first == ("1", 1) and last == ("3", -1):
-                return intern_letter("d", -k)
-            if first == ("1", 1) and last == ("123", -1):
-                return intern_letter("b", -k)
-    else:
-        if chunk == [("23", 1)]:
-            return intern_letter("d", 0, True)
-        if chunk == [("23", -1)]:
-            return intern_letter("c", 0, True)
-        first, last, mids = chunk[0], chunk[-1], chunk[1:-1]
-        if all(m == ("12", 1) for m in mids):
-            if first == ("3", -1) and last == ("123", 1):
-                return intern_letter("a", k, True)
-            if first == ("3", -1) and last == ("1", 1):
-                return intern_letter("c", k, True)
-            if first == ("2", 1) and last == ("123", 1):
-                return intern_letter("d", k, True)
-            if first == ("2", 1) and last == ("1", 1):
-                return intern_letter("b", k, True)
-        if all(m == ("12", -1) for m in mids):
-            if first == ("123", -1) and last == ("2", -1):
-                return intern_letter("c", -k, True)
-            if first == ("123", -1) and last == ("3", 1):
-                return intern_letter("a", -k, True)
-            if first == ("1", -1) and last == ("2", -1):
-                return intern_letter("b", -k, True)
-            if first == ("1", -1) and last == ("3", 1):
-                return intern_letter("d", -k, True)
-    raise WordError(f"unrecognized segment {chunk}")
-
-
 # ---------------------------------------------------------------------------
 # the step transducer: both alphabets and the Euler characteristics without
 # a graph
@@ -479,6 +425,22 @@ for (_fam, _star), _seg in _POSITIVE_SEGMENTS.items():
         (label, -d) for label, d in reversed(_seg))
 # the single step of d_0 (c_0 walks it backwards) between two anchors
 _ZERO_LABEL = {False: "12", True: "23"}
+# the inverse of _SEGMENTS: (first, last, star) -> (family, sign, middle)
+_SEGMENT_LETTER = {(seg[0], seg[2], star): (fam, sign, seg[1])
+                   for (fam, sign, star), seg in _SEGMENTS.items()}
+
+
+def _recognize(chunk: List[Tuple[str, int]], star: bool) -> Letter:
+    """Letter for a list of (label, direction) steps between anchors."""
+    if len(chunk) == 1 and chunk[0][0] == _ZERO_LABEL[star]:
+        return intern_letter("d" if chunk[0][1] == 1 else "c", 0, star)
+    if len(chunk) > 1:
+        hit = _SEGMENT_LETTER.get((chunk[0], chunk[-1], star))
+        if hit is not None and all(m == hit[2] for m in chunk[1:-1]):
+            return intern_letter(hit[0], hit[1] * (len(chunk) - 1), star)
+    raise WordError(f"unrecognized segment {chunk}")
+
+
 # a middle step runs between two interior vertices: in the other alphabet it
 # is a letter of its own, keyed here by (step, star of the word walked)
 _MIDDLE_LETTER = {

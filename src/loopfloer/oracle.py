@@ -157,14 +157,7 @@ def _inputs(path) -> Tuple[str, ...]:
 
 
 # the runs a walk's open run can still grow into
-_COMPLETIONS = {
-    "1": frozenset(("1", "12", "123")),
-    "2": frozenset(("2", "23")),
-    "3": frozenset(("3",)),
-    "12": frozenset(("12", "123")),
-    "23": frozenset(("23",)),
-    "123": frozenset(("123",)),
-}
+_COMPLETIONS = {run: frozenset(a for a in RHOS if a.startswith(run)) for run in RHOS}
 
 
 class _PathTrie:

@@ -9,7 +9,7 @@ trefoil-complement family:
 * A slope p/q of a loop corresponds to the slope (p - nq)/q of tw^n(loop)
   and to p/(q - np) of du^n(loop); ex sends p/q to -q/p.
 * reparametrize(loop, p/q) applies tw^{a1}, du^{a2}, ..., du^{a_{2m}} for an
-  even-length continued fraction [a1, ..., a_{2m}] of p/q, after which the
+  even-length continued fraction p/q = a1 + 1/(a2 + ...), after which the
   requested slope sits at infinity.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .loops import (
     Loop,
@@ -52,9 +52,10 @@ class Slope:
 
     @staticmethod
     def parse(text: str) -> "Slope":
-        """Read 'p/q', an integer p, or 'inf' (also 'infty', 'oo')."""
+        """Read 'p/q', an integer p, or 'inf' (also 'infty', 'oo'), the last
+        three with an optional '-' as in '-1/0'."""
         text = text.strip()
-        if text in ("inf", "infty", "oo"):
+        if text.removeprefix("-") in ("inf", "infty", "oo"):
             return INFINITY
         p, slash, q = text.partition("/")
         try:
@@ -91,53 +92,6 @@ class Slope:
 
 INFINITY = Slope(1, 0)
 ZERO_SLOPE = Slope(0, 1)
-
-
-def continued_fraction(s: Slope, parity: str = "any") -> List[int]:
-    """Continued fraction [a1, ..., an] with s = a1 + 1/(a2 + ...).
-
-    Terms alternate floor (odd positions) and ceiling (even positions), which
-    keeps them nonzero past the first; parity 'even'/'odd' adjusts the length
-    with the tail identities [..., a] = [..., a-1, 1] and [..., a, 1] =
-    [..., a+1].  Infinity yields [].
-    """
-    if parity not in ("any", "even", "odd"):
-        raise ValueError(f"bad parity {parity!r}")
-    if s.is_infinite:
-        if parity == "odd":
-            raise ValueError("no odd-length continued fraction for 1/0")
-        return []
-    terms: List[int] = []
-    value = Fraction(s.p, s.q)
-    use_floor = True
-    while True:
-        a = value.__floor__() if use_floor else value.__ceil__()
-        rem = value - a
-        terms.append(int(a))
-        if rem == 0:
-            break
-        value = 1 / rem
-        use_floor = not use_floor
-    if parity != "any" and len(terms) % 2 != (0 if parity == "even" else 1):
-        if terms[-1] == 1 and len(terms) >= 2:
-            terms = terms[:-2] + [terms[-2] + 1]
-        else:
-            terms = terms[:-1] + [terms[-1] - 1, 1]
-    assert cf_value(terms) == Fraction(s.p, s.q), (s, terms)
-    return terms
-
-
-def cf_value(terms: Sequence[int]) -> Optional[Fraction]:
-    """Value of a continued fraction; None stands for an infinite value."""
-    value: Optional[Fraction] = None
-    for a in reversed(terms):
-        if value is None:
-            value = Fraction(a)
-        elif value == 0:
-            value = None  # a + 1/0
-        else:
-            value = a + 1 / value
-    return value
 
 
 # matrices act on column vectors (p, q); these are the slope transfers
@@ -190,11 +144,7 @@ class TwistWord:
 
     def pullback(self, s: Slope) -> Slope:
         """The slope of loop matching the slope s of W(loop)."""
-        m = self.matrix()
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        assert abs(det) == 1
-        inv = ((m[1][1] * det, -m[0][1] * det), (-m[1][0] * det, m[0][0] * det))
-        return Slope(inv[0][0] * s.p + inv[0][1] * s.q, inv[1][0] * s.p + inv[1][1] * s.q)
+        return self.inverse().transfer(s)
 
     def apply(self, l: Loop) -> Loop:
         for kind, n in self.ops:
@@ -245,19 +195,25 @@ def ex(l: Loop) -> Loop:
 
 
 def reparametrization_word(s: Slope) -> TwistWord:
-    """Twists taking the slope s to infinity (empty for s = infinity)."""
-    if s.is_infinite:
-        return TwistWord()
-    terms = continued_fraction(s, "even")
-    return TwistWord(tuple(("tw" if i % 2 == 0 else "du", a) for i, a in enumerate(terms)))
+    """Twists taking the slope s to infinity (empty for s = infinity): tw and
+    du alternate with the terms of the even-length continued fraction of s,
+    floors in odd positions and ceilings in even ones."""
+    terms: List[int] = []
+    p, q = s.p, s.q
+    while q:
+        a = p // q if len(terms) % 2 == 0 else -(-p // q)
+        terms.append(a)
+        p, q = q, p - a * q
+    if len(terms) % 2:
+        terms[-1:] = [terms[-1] - 1, 1]
+    w = TwistWord(tuple(("tw" if i % 2 == 0 else "du", a) for i, a in enumerate(terms)))
+    assert w.transfer(s) == INFINITY, (s, w)
+    return w
 
 
 @lru_cache(maxsize=16384)
 def _reparametrize_one(l: Loop, s: Slope) -> Loop:
-    w = reparametrization_word(s)
-    out = w.apply(l)
-    assert w.transfer(s) == INFINITY
-    return out
+    return reparametrization_word(s).apply(l)
 
 
 def reparametrize(l, s: Slope):

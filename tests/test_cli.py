@@ -193,6 +193,11 @@ def test_bad_input_exit_codes(capsys, monkeypatch, tmp_path, argv, code, reason)
         assert json.loads(lines[0])["error"].startswith(reason)
 
 
+@pytest.mark.parametrize("slope", ["-1/0", "-inf", "-infty", "-oo"])
+def test_negative_infinity_reads_as_one_over_zero(capsys, slope):
+    assert invoke(capsys, "fill", "(e)", slope) == (0, "dim=1 chi=1 lspace=yes", "")
+
+
 def test_slope_with_two_slashes_names_the_fault(capsys):
     got, out, err = invoke(capsys, "fill", "(e)", "1/0/2")
     assert (got, out) == (1, "")

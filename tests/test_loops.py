@@ -8,7 +8,10 @@ from loopfloer.loops import (
     LoopWord,
     NotExpressible,
     WordError,
+    _emit_dual,
+    _emit_standard,
     _other_letters,
+    _recognize,
     canonicalize,
     dual_word,
     graph_to_words,
@@ -280,6 +283,46 @@ def unstable_words(draw, max_len=8, max_sub=5):
     star = draw(st.booleans())
     subs = draw(st.lists(st.integers(-max_sub, max_sub), min_size=1, max_size=max_len))
     return LoopWord([Letter(fam, k, star) for k in subs])
+
+
+def _segment_steps(letter):
+    """The (label, direction) steps of the letter's segment as the emitters
+    write it, walked from its start anchor 0 to its end anchor 1."""
+    edges = []
+    (_emit_dual if letter.star else _emit_standard)(edges, letter, 0, 1, 2)
+    steps, v = [], 0
+    while v != 1:
+        s, t, label = edges.pop(next(i for i, e in enumerate(edges) if v in e[:2]))
+        steps.append((label, 1 if s == v else -1))
+        v = t if s == v else s
+    assert not edges
+    return steps
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_recognize_inverts_the_emitters(star):
+    for fam in "abcd":
+        for k in range(-3, 4):
+            if fam in "ab" and k == 0:
+                continue
+            letter = Letter(fam, k, star)
+            assert _recognize(_segment_steps(letter), star) == letter, str(letter)
+
+
+@pytest.mark.parametrize("chunk,star", [
+    ([], False),
+    ([("3", 1), ("23", 1), ("23", -1), ("2", 1)], False),  # mixed middle steps
+    ([("2", 1), ("12", -1), ("12", 1), ("123", 1)], True),
+    ([("3", 1), ("12", 1), ("2", 1)], False),  # the other alphabet's middle step
+    ([("3", 1)], False),  # one step that is not the zero letter's
+    ([("12", 1)], True),
+    ([("3", 1), ("2", 1)], True),  # an a1 of the other alphabet
+    ([("3", 1), ("23", 1), ("3", 1)], False),  # ends in no letter
+    ([("123", 1), ("1", 1)], False),
+])
+def test_recognize_rejects_malformed_chunks(chunk, star):
+    with pytest.raises(WordError):
+        _recognize(chunk, star)
 
 
 def _graph_word(w, alphabet):

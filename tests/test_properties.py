@@ -1,7 +1,7 @@
 """Hypothesis property tests over randomly generated valid words."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from loopfloer import (
     INFINITY,
@@ -11,8 +11,11 @@ from loopfloer import (
     euler_chars,
     ex,
     fill,
+    fill_oracle,
     is_lspace_slope,
     mirror,
+    rational_longitude,
+    stern_brocot_slopes,
     twist,
 )
 from loopfloer.loops import (
@@ -89,8 +92,6 @@ def test_euler_transform(l):
 @given(loops(max_len=5, max_sub=2), slopes)
 @settings(deadline=None, max_examples=40)
 def test_fill_matches_oracle(l, s):
-    from loopfloer import fill_oracle
-
     fast = fill(l, s)
     slow = fill_oracle(l, s)
     assert (fast.dim, fast.chi_abs, fast.is_lspace) == (
@@ -98,6 +99,21 @@ def test_fill_matches_oracle(l, s):
         slow.chi_abs,
         slow.is_lspace,
     )
+
+
+@given(loops(), st.integers(0, 5), st.integers(0, 63))
+@settings(deadline=None, max_examples=100)
+def test_oracle_dimension_is_subadditive_on_farey_pairs(l, depth, i):
+    """Away from the rational longitude, dim(x + y) <= dim(x) + dim(y) with
+    equal parity, for Farey neighbours x, y as vectors (q, p): the first half
+    of the kink-search fact, read off the pairing oracle."""
+    # a row's neighbours x, y have x + y between them in the next row
+    row, finer = stern_brocot_slopes(depth), stern_brocot_slopes(depth + 1)
+    i %= len(row)
+    x, y, xy = row[i], row[(i + 1) % len(row)], finer[2 * i + 1]
+    assume(xy != rational_longitude(l))
+    dx, dy, dxy = (fill_oracle(l, s).dim for s in (x, y, xy))
+    assert dxy <= dx + dy and (dx + dy - dxy) % 2 == 0, (str(x), str(y))
 
 
 @given(loops(), slopes)

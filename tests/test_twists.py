@@ -6,7 +6,6 @@ from loopfloer import (
     INFINITY,
     Loop,
     Slope,
-    continued_fraction,
     euler_chars,
     ex,
     fill,
@@ -18,7 +17,6 @@ from loopfloer.loops import word_violations
 from loopfloer.twists import (
     TwistWord,
     ZERO_SLOPE,
-    cf_value,
     reparametrization_word,
 )
 from conftest import small_slopes
@@ -105,26 +103,22 @@ def test_ex_squared_preserves_fillings(corpus):
             assert (a.dim, a.chi_abs) == (b.dim, b.chi_abs), (str(loop), str(s))
 
 
-def test_continued_fraction_examples():
-    assert continued_fraction(Slope(-2, 7)) == [-1, 2, -2, 3]
-    assert continued_fraction(Slope(5, 1)) == [5]
-    assert continued_fraction(Slope(7, 2), "odd") == [3, 1, 1]
-    assert continued_fraction(INFINITY) == []
-    assert continued_fraction(ZERO_SLOPE, "even") == [-1, 1]
+def test_reparametrization_word_terms():
+    # the even-length continued fraction: floors in odd positions, ceilings
+    # in even ones, and [.., a] -> [.., a-1, 1] when the length is odd
+    for s, terms in ((Slope(-2, 7), [-1, 2, -2, 3]), (Slope(5, 1), [4, 1]),
+                     (Slope(7, 2), [3, 2]), (INFINITY, []), (ZERO_SLOPE, [-1, 1])):
+        assert [n for _, n in reparametrization_word(s).ops] == terms, str(s)
 
 
-def test_continued_fraction_parity_and_value():
+def test_reparametrization_word_alternates_and_reaches_infinity():
     rng = random.Random(2)
     for _ in range(200):
-        p, q = rng.randint(-30, 30), rng.randint(1, 30)
-        s = Slope(p, q)
-        for parity in ("any", "even", "odd"):
-            terms = continued_fraction(s, parity)
-            assert cf_value(terms) == s.fraction()
-            if parity == "even":
-                assert len(terms) % 2 == 0
-            if parity == "odd":
-                assert len(terms) % 2 == 1
+        s = Slope(rng.randint(-30, 30), rng.randint(1, 30))
+        w = reparametrization_word(s)
+        kinds = [k for k, _ in w.ops]
+        assert kinds[-1] == "du" and all(a != b for a, b in zip(kinds, kinds[1:])), str(s)
+        assert w.transfer(s) == INFINITY, str(s)
 
 
 def test_reparametrize_identity_and_composition():
