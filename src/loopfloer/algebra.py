@@ -1,8 +1,9 @@
 """Torus algebra over F2, decorated graphs, edge reduction, and F2 homology.
 
-The F2 core is sparse: d^2 = 0 is checked by toggling the out-sets of each
-generator's targets, and ranks are taken by elimination over rows held as
-Python int bitsets.
+The F2 core holds a chain complex as rows, one Python int bitset per
+generator giving its differential, numbered densely within each component:
+the grading flip is a mask test, d^2 = 0 is the XOR of each row's target
+rows, and ranks are taken by elimination over the same rows.
 
 The algebra has idempotents i0, i1 and six nontrivial elements rho_I indexed
 by the strictly increasing strings I in {1, 2, 3, 12, 23, 123}.  Elements are
@@ -15,8 +16,10 @@ arithmetic on purpose: reduction is purely structural.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 RHOS = ("1", "2", "3", "12", "23", "123")
 IDEMPOTENTS = ("i0", "i1")
@@ -255,17 +258,7 @@ def reduce_graph(g: DecoratedGraph, choose=None) -> DecoratedGraph:
     g.check()
     edge_set: Set[Tuple[Hashable, Hashable, Optional[str]]] = set()
     for e in g.edges:
-        if e in edge_set:
-            edge_set.remove(e)
-        else:
-            edge_set.add(e)
-
-    def toggle(e):
-        if e in edge_set:
-            edge_set.remove(e)
-        else:
-            edge_set.add(e)
-
+        edge_set ^= {e}
     while True:
         idents = sorted(
             (e for e in edge_set if e[2] is IDENT), key=lambda e: (repr(e[0]), repr(e[1]))
@@ -276,29 +269,14 @@ def reduce_graph(g: DecoratedGraph, choose=None) -> DecoratedGraph:
         y, x, _ = e
         if y == x:
             raise GraphError("identity self-edge cannot be cancelled")
-        ins = [(s, t, l) for (s, t, l) in edge_set if t == x and (s, t, l) != e]
-        outs = [(s, t, l) for (s, t, l) in edge_set if s == y and (s, t, l) != e]
-        removed = {f for f in edge_set if f[0] in (x, y) or f[1] in (x, y)}
-        for f in removed:
-            edge_set.remove(f)
-        for (u, _, a) in ins:
-            if u in (x, y):
-                continue
-            for (_, v, b) in outs:
-                if v in (x, y):
-                    continue
-                prod = IDENT
-                if a is IDENT and b is IDENT:
-                    prod = IDENT
-                elif a is IDENT:
-                    prod = b
-                elif b is IDENT:
-                    prod = a
-                else:
-                    prod = multiply(a, b)
-                    if prod == ZERO:
-                        continue
-                toggle((u, v, prod))
+        ins = [(u, a) for u, t, a in edge_set if t == x and u not in (x, y)]
+        outs = [(v, b) for s, v, b in edge_set if s == y and v not in (x, y)]
+        edge_set -= {f for f in edge_set if f[0] in (x, y) or f[1] in (x, y)}
+        for u, a in ins:
+            for v, b in outs:
+                prod = b if a is IDENT else a if b is IDENT else multiply(a, b)
+                if prod != ZERO:
+                    edge_set ^= {(u, v, prod)}
         del g.vertices[x]
         del g.vertices[y]
     g.edges = sorted(edge_set, key=lambda e: (repr(e[0]), repr(e[1]), e[2] or ""))
@@ -308,34 +286,74 @@ def reduce_graph(g: DecoratedGraph, choose=None) -> DecoratedGraph:
 
 @dataclass
 class ChainComplexF2:
-    """Z/2-graded chain complex over F2 with a component marker per generator.
+    """Z/2-graded chain complex over F2, held as bitset rows per component.
 
-    generators: list of (id, grading bit, component id); the differential is
-    a set of (src, tgt) generator pairs.  The differential must strictly flip
-    the grading bit and square to zero; `check` asserts both.
+    `components` maps each component id to (rows, n0): its generators are
+    numbered 0..len(rows)-1, the n0 of grading 0 first, and rows[i] is d of
+    generator i as an int bitset over those numbers.  `check` asserts that d
+    strictly flips the grading and squares to zero.  `generators` and
+    `differential` list the complex as ids (component, number) and id pairs.
     """
 
-    generators: List[Tuple[Hashable, int, Hashable]]
-    differential: Set[Tuple[Hashable, Hashable]]
+    components: Dict[Hashable, Tuple[List[int], int]]
 
-    def check(self) -> None:
-        graded = {gid: (g, c) for gid, g, c in self.generators}
-        outs: Dict[Hashable, Set[Hashable]] = {}
-        for s, t in self.differential:
-            gs, cs = graded[s]
-            gt, ct = graded[t]
-            if gt != (gs + 1) % 2:
+    @classmethod
+    def from_pairs(cls, generators: Iterable[Tuple[Hashable, int, Hashable]],
+                   differential: Iterable[Tuple[Hashable, Hashable]]) -> "ChainComplexF2":
+        """The complex of (id, grading bit, component) generators and a set
+        of (source, target) id pairs, each component numbered in the order
+        its generators come, grading 0 first.  Raises GraphError on a pair
+        that does not flip the grading or crosses components."""
+        by_comp: Dict[Hashable, Tuple[List[Hashable], List[Hashable]]] = {}
+        for gid, g, comp in generators:
+            by_comp.setdefault(comp, ([], []))[g].append(gid)
+        number = {gid: (comp, i, i >= len(zeros)) for comp, (zeros, ones) in by_comp.items()
+                  for i, gid in enumerate(zeros + ones)}  # id -> (component, number, grading)
+        rows = {comp: [0] * (len(zeros) + len(ones)) for comp, (zeros, ones) in by_comp.items()}
+        for s, t in differential:
+            (cs, i, gs), (ct, j, gt) = number[s], number[t]
+            if gs == gt:
                 raise GraphError("differential does not flip the grading")
             if cs != ct:
                 raise GraphError("differential crosses components")
-            outs.setdefault(s, set()).add(t)
-        no_targets: Set[Hashable] = set()
-        for targets in outs.values():
-            square: Set[Hashable] = set()
-            for t in targets:
-                square ^= outs.get(t, no_targets)
-            if square:
-                raise GraphError("differential does not square to zero")
+            rows[cs][i] |= 1 << j
+        return cls({comp: (rows[comp], len(zeros)) for comp, (zeros, _) in by_comp.items()})
+
+    @property
+    def generators(self) -> List[Tuple[Hashable, int, Hashable]]:
+        return [((comp, i), int(i >= n0), comp)
+                for comp, (rows, n0) in self.components.items() for i in range(len(rows))]
+
+    @property
+    def differential(self) -> Set[Tuple[Hashable, Hashable]]:
+        return {((comp, i), (comp, j))
+                for comp, (rows, _) in self.components.items()
+                for i, row in enumerate(rows) for j in _bits(row)}
+
+    def check(self) -> None:
+        for rows, n0 in self.components.values():
+            zeros = (1 << n0) - 1  # the masks of grading 0 and grading 1
+            ones = ((1 << len(rows)) - 1) ^ zeros
+            if reduce(or_, rows[:n0], 0) & ~ones or reduce(or_, rows[n0:], 0) & ~zeros:
+                raise GraphError("differential does not flip the grading")
+            for row in rows:
+                square = 0
+                while row:
+                    t = row.bit_length() - 1
+                    square ^= rows[t]
+                    row ^= 1 << t
+                if square:
+                    raise GraphError("differential does not square to zero")
+
+
+def _bits(row: int) -> List[int]:
+    """The numbers of the set bits of a row."""
+    out = []
+    while row:
+        t = row.bit_length() - 1
+        out.append(t)
+        row ^= 1 << t
+    return out
 
 
 def _gf2_rank(rows: List[int]) -> int:
@@ -361,27 +379,13 @@ class HomologyResult:
 
 def homology(c: ChainComplexF2) -> HomologyResult:
     """Dimensions of H_*(c) over F2, total, by grading, and per component."""
-    by_comp: Dict[Hashable, Tuple[List[Hashable], List[Hashable]]] = {}
-    for gid, g, comp in c.generators:
-        by_comp.setdefault(comp, ([], []))[g].append(gid)
-    # a generator's bit indexes it among its component's generators of its grading
-    bit = {gid: 1 << i for pair in by_comp.values() for gens in pair for i, gid in enumerate(gens)}
-    row = dict.fromkeys(bit, 0)  # d of each source, as a bitset
-    for s, t in c.differential:
-        row[s] ^= bit[t]
     per: Dict[Hashable, Tuple[int, int, int, int]] = {}
-    tot = d0 = d1 = 0
-    for comp, (zeros, ones) in by_comp.items():
-        r0 = _gf2_rank([row[gid] for gid in zeros])  # d: C0 -> C1
-        r1 = _gf2_rank([row[gid] for gid in ones])  # d: C1 -> C0
-        h0 = len(zeros) - r0 - r1
-        h1 = len(ones) - r1 - r0
-        chi = len(zeros) - len(ones)
-        per[comp] = (h0 + h1, h0, h1, chi)
-        tot += h0 + h1
-        d0 += h0
-        d1 += h1
-    return HomologyResult(tot, (d0, d1), per)
+    for comp, (rows, n0) in c.components.items():
+        rank = _gf2_rank(rows[:n0]) + _gf2_rank(rows[n0:])  # d: C0 -> C1 and C1 -> C0
+        h0, h1 = n0 - rank, len(rows) - n0 - rank
+        per[comp] = (h0 + h1, h0, h1, h0 - h1)
+    d0, d1 = sum(h[1] for h in per.values()), sum(h[2] for h in per.values())
+    return HomologyResult(d0 + d1, (d0, d1), per)
 
 
 def is_lspace_complex(c: ChainComplexF2) -> bool:

@@ -25,7 +25,6 @@ the type A module of the standard solid torus, written in closed form.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Hashable, List, Optional, Set, Tuple
@@ -299,68 +298,64 @@ def make_bounded(g: DecoratedGraph) -> DecoratedGraph:
 
 
 def box_tensor(a: TypeAStructure, d: DecoratedGraph, component: Hashable = 0) -> ChainComplexF2:
-    """Chain complex of pairing a type A structure with a bounded graph.
+    """Chain complex of pairing a type A structure with a bounded graph, as
+    one component of bitset rows.
 
-    Generators x (x) y over matching idempotents with grading gr(x) + gr(y);
-    differentials come from identity edges (one each) and from operation
-    inputs matching directed label paths, found by walking the graph through
-    the trie of the operations' inputs.  The component marker tags every
-    generator; d-squared and the grading flip are asserted.
+    Generators x (x) y over matching idempotents with grading gr(x) + gr(y),
+    numbered grading 0 first, then by x and by y in the orders of
+    `a.generators` and `d.vertices`.  Differentials come from identity
+    edges (one each) and from operation inputs matching directed label
+    paths, found by walking the graph through the trie of the operations'
+    inputs; each way one arises toggles its bit, so the rows count it mod 2.
+    d-squared and the grading flip are asserted.
     """
     if not d.sort_topologically():
         raise GraphError("box tensor needs a bounded second factor")
     outs = d.out_edges()
     gr_d = d.gradings()
-    graded: Dict[str, List[Tuple[Hashable, int]]] = {"0": [], "1": []}
+    graded: Dict[str, Tuple[List[Hashable], List[Hashable]]] = {"0": ([], []), "1": ([], [])}
     for y, idem_y in d.vertices.items():
-        graded[idem_y].append((y, gr_d[y]))
-    generators: List[Tuple[Hashable, int, Hashable]] = [
-        ((x, y), gr_x ^ gr_y, component)
-        for x, (idem_x, gr_x) in a.generators.items()
-        for y, gr_y in graded[idem_x]
-    ]
-    by_idem: Dict[str, List[Hashable]] = {"0": [], "1": []}
-    for x, (idem_x, _) in a.generators.items():
-        by_idem[idem_x].append(x)
-    # every way a differential arises; it counts mod 2
-    found: List[Tuple[Hashable, Hashable]] = []
+        graded[idem_y][gr_d[y]].append(y)
+    number: Dict[Hashable, Dict[Hashable, int]] = {y: {} for y in d.vertices}  # [y][x]: x (x) y
+    n = 0
+    for g in (0, 1):
+        if g:
+            n0 = n
+        for x, (idem_x, gr_x) in a.generators.items():
+            for y in graded[idem_x][gr_x ^ g]:
+                number[y][x] = n
+                n += 1
+    rows = [0] * n
     firsts = a.trie.children
-    # label paths spelling operation inputs, as (start, end, trie node) after
-    # their first edge; an operation has at least one input, so every path
-    # starts with an edge whose label begins some operation's inputs (the
-    # trie has no identity label)
-    stack: List[Tuple[Hashable, Hashable, _Trie]] = []
+    # label paths spelling operation inputs, as (numbers at the start, end,
+    # trie node) after their first edge; an operation has at least one
+    # input, so every path starts with an edge whose label begins some
+    # operation's inputs (the trie has no identity label)
+    stack: List[Tuple[Dict[Hashable, int], Hashable, _Trie]] = []
     for s, t, label in d.edges:
         if label is IDENT:
-            found += [((x, s), (x, t)) for x in by_idem[d.vertices[s]]]
+            for x, i in number[s].items():
+                rows[i] ^= 1 << number[t][x]
         elif label in firsts:
-            stack.append((s, t, firsts[label]))
+            stack.append((number[s], t, firsts[label]))
     # a path from y spelling the inputs of an operation of x starts and ends
     # in the idempotents of x and its targets
     while stack:
-        y, v, node = stack.pop()
-        found += [((x, y), (x2, v)) for x, x2 in node.ops]
+        at_y, v, node = stack.pop()
+        for x, x2 in node.ops:
+            rows[at_y[x]] ^= 1 << number[v][x2]
         for t, label in outs[v]:
             child = node.children.get(label)
             if child is not None:
-                stack.append((y, t, child))
-    diff = {pair for pair, n in Counter(found).items() if n % 2}
-    cpx = ChainComplexF2(generators, diff)
+                stack.append((at_y, t, child))
+    cpx = ChainComplexF2({component: (rows, n0)})
     cpx.check()
     return cpx
 
 
-def _merge_complex(parts: List[ChainComplexF2]) -> ChainComplexF2:
-    gens: List[Tuple[Hashable, int, Hashable]] = []
-    diff: Set[Tuple[Hashable, Hashable]] = set()
-    for i, c in enumerate(parts):
-        gens += [((i, gid), g, comp) for gid, g, comp in c.generators]
-        diff.update([((i, s), (i, t)) for s, t in c.differential])
-    return ChainComplexF2(gens, diff)
-
-
 def pair_complex(loops1, loops2) -> ChainComplexF2:
-    """Chain complex of the pairing, one component per pair of loops.
+    """Chain complex of the pairing, one component per pair of loops: the
+    components box_tensor writes for each pair, side by side.
 
     Each graph is built once and keeps its gradings and out-edges, so its
     set-up serves every pair it is in; each bounded graph also has its
@@ -373,7 +368,7 @@ def pair_complex(loops1, loops2) -> ChainComplexF2:
         sides.append((d, d.longest_path_edges(), label_path_trie(d)))
     parts = [box_tensor(to_type_a(g1, max_len=longest, match_trie=trie), d, component=(i, j))
              for i, g1 in enumerate(graphs1) for j, (d, longest, trie) in enumerate(sides)]
-    return _merge_complex(parts)
+    return ChainComplexF2({k: c for part in parts for k, c in part.components.items()})
 
 
 def pair_is_lspace(loops1, loops2) -> bool:

@@ -154,3 +154,38 @@ def poincare_tree():
     return PlumbingTree(
         {0: -1, 1: -2, 2: -3, 3: -5}, [(0, 1), (0, 2), (0, 3)], None
     )
+
+
+# dense pure-Python references for the F2 core: ranks by row reduction of
+# 0/1 lists, homology from the ranks of a complex given as id pairs
+
+
+def _reference_rank(rows):
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_homology(c):
+    """Per component (dim, dim0, dim1, chi) of a complex given as
+    (generators, differential): (id, grading, component) triples and a set
+    of (source, target) id pairs."""
+    generators, differential = c
+    per = {}
+    for comp in dict.fromkeys(k for _, _, k in generators):
+        zeros = [gid for gid, g, k in generators if k == comp and g == 0]
+        ones = [gid for gid, g, k in generators if k == comp and g == 1]
+        r0 = _reference_rank([[int((s, t) in differential) for s in zeros] for t in ones])
+        r1 = _reference_rank([[int((s, t) in differential) for s in ones] for t in zeros])
+        h0, h1 = len(zeros) - r0 - r1, len(ones) - r0 - r1
+        per[comp] = (h0 + h1, h0, h1, len(zeros) - len(ones))
+    return per

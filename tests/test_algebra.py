@@ -20,6 +20,7 @@ from loopfloer.algebra import (
     reduce_graph,
     right_idem,
 )
+from conftest import _reference_homology, _reference_rank
 
 ELEMENTS = ["i0", "i1", "1", "2", "3", "12", "23", "123"]
 
@@ -142,9 +143,10 @@ def test_reduce_confluent_on_loop_graphs(corpus):
 
 
 def test_homology_trivial_cases():
-    c = ChainComplexF2([("x", 0, 0)], set())
+    c = ChainComplexF2.from_pairs([("x", 0, 0)], set())
     assert homology(c).total == 1
-    c = ChainComplexF2([("x", 0, 0), ("y", 1, 0)], {("x", "y")})
+    c = ChainComplexF2.from_pairs([("x", 0, 0), ("y", 1, 0)], {("x", "y")})
+    assert c == ChainComplexF2({0: ([0b10, 0], 1)})
     assert homology(c).total == 0
 
 
@@ -159,7 +161,7 @@ def test_homology_cancellation_invariance():
             s, t = rng.randrange(n), rng.randrange(n)
             if grs[t] == (grs[s] + 1) % 2 and s != t:
                 pairs.add((s, t))
-        c = ChainComplexF2(gens, pairs)
+        c = ChainComplexF2.from_pairs(gens, pairs)
         try:
             c.check()
         except GraphError:
@@ -177,73 +179,62 @@ def test_homology_cancellation_invariance():
             for v in outs:
                 key = (u, v)
                 new ^= {key}
-        c2 = ChainComplexF2([(i, grs[i], 0) for i in remaining], new)
+        c2 = ChainComplexF2.from_pairs([(i, grs[i], 0) for i in remaining], new)
         c2.check()
         assert homology(c2).total == base.total
 
 
 def test_is_lspace_complex_cases():
-    one = ChainComplexF2([("x", 0, 0)], set())
+    one = ChainComplexF2.from_pairs([("x", 0, 0)], set())
     assert is_lspace_complex(one)
-    two_opposite = ChainComplexF2([("x", 0, 0), ("y", 1, 0)], set())
+    two_opposite = ChainComplexF2.from_pairs([("x", 0, 0), ("y", 1, 0)], set())
     assert not is_lspace_complex(two_opposite)
-    zero_h = ChainComplexF2([("x", 0, 0), ("y", 1, 0)], {("x", "y")})
+    zero_h = ChainComplexF2.from_pairs([("x", 0, 0), ("y", 1, 0)], {("x", "y")})
     assert not is_lspace_complex(zero_h)
     # a bad component poisons the total even if another is fine
-    mixed = ChainComplexF2([("x", 0, 0), ("u", 0, 1), ("v", 1, 1)], set())
+    mixed = ChainComplexF2.from_pairs([("x", 0, 0), ("u", 0, 1), ("v", 1, 1)], set())
     assert not is_lspace_complex(mixed)
 
 
 def test_differential_must_flip_grading():
-    c = ChainComplexF2([("x", 0, 0), ("y", 0, 0)], {("x", "y")})
-    with pytest.raises(GraphError):
-        c.check()
+    with pytest.raises(GraphError, match="flip"):
+        ChainComplexF2.from_pairs([("x", 0, 0), ("y", 0, 0)], {("x", "y")})
+    with pytest.raises(GraphError, match="crosses"):
+        ChainComplexF2.from_pairs([("x", 0, 0), ("y", 1, 1)], {("x", "y")})
+    # rows that meet the mask of their own grading, or reach past the last
+    # generator
+    for rows, n0 in (([0b10, 0], 2), ([0, 0b11], 1), ([0b100, 0], 1)):
+        with pytest.raises(GraphError, match="flip"):
+            ChainComplexF2({0: (rows, n0)}).check()
 
 
-# dense pure-Python reference for the sparse F2 core: d^2 by matrix product,
-# ranks by row reduction of 0/1 lists
+def test_id_pairs_round_trip():
+    gens = [("x", 0, "k"), ("y", 1, "k"), ("z", 1, "k"), ("u", 1, 2), ("v", 0, 2)]
+    c = ChainComplexF2.from_pairs(gens, {("x", "y"), ("x", "z"), ("u", "v")})
+    # each component numbers its grading 0 generators first, in list order
+    assert c.components == {"k": ([0b110, 0, 0], 1), 2: ([0, 0b1], 1)}
+    assert ChainComplexF2.from_pairs(c.generators, c.differential) == c
+    assert len(c.generators) == 5 and len(c.differential) == 3
+
+
+# dense pure-Python reference for the F2 rows: d^2 by matrix product; ranks
+# and homology by row reduction of 0/1 lists are in conftest
 
 
 def _reference_fault(c):
-    grs = {gid: g for gid, g, _ in c.generators}
-    comps = {gid: k for gid, _, k in c.generators}
-    if any(grs[s] == grs[t] or comps[s] != comps[t] for s, t in c.differential):
+    generators, differential = c
+    grs = {gid: g for gid, g, _ in generators}
+    comps = {gid: k for gid, _, k in generators}
+    if any(grs[s] == grs[t] or comps[s] != comps[t] for s, t in differential):
         return True
-    index = {gid: i for i, (gid, _, _) in enumerate(c.generators)}
+    index = {gid: i for i, (gid, _, _) in enumerate(generators)}
     n = len(index)
     d = [[0] * n for _ in range(n)]
-    for s, t in c.differential:
+    for s, t in differential:
         d[index[t]][index[s]] = 1
     return any(
         sum(d[i][k] * d[k][j] for k in range(n)) % 2 for i in range(n) for j in range(n)
     )
-
-
-def _reference_rank(rows):
-    m = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def _reference_homology(c):
-    per = {}
-    for comp in dict.fromkeys(k for _, _, k in c.generators):
-        zeros = [gid for gid, g, k in c.generators if k == comp and g == 0]
-        ones = [gid for gid, g, k in c.generators if k == comp and g == 1]
-        r0 = _reference_rank([[int((s, t) in c.differential) for s in zeros] for t in ones])
-        r1 = _reference_rank([[int((s, t) in c.differential) for s in ones] for t in zeros])
-        h0, h1 = len(zeros) - r0 - r1, len(ones) - r0 - r1
-        per[comp] = (h0 + h1, h0, h1, len(zeros) - len(ones))
-    return per
 
 
 def _generators(draw):
@@ -268,7 +259,7 @@ def raw_complexes(draw):
         diff = draw(st.sets(st.sampled_from(allowed), max_size=2 * n))
     ids = st.integers(0, n - 1)
     diff |= draw(st.sets(st.tuples(ids, ids), max_size=2))
-    return ChainComplexF2(gens, diff)
+    return gens, diff
 
 
 @st.composite
@@ -293,7 +284,7 @@ def closed_complexes(draw):
             for row in d:
                 row[j] ^= row[i]
     diff = {(s, t) for t in range(n) for s in range(n) if d[t][s]}
-    return ChainComplexF2(gens, diff)
+    return gens, diff
 
 
 @given(st.one_of(raw_complexes(), closed_complexes()))
@@ -301,9 +292,9 @@ def closed_complexes(draw):
 def test_check_raises_exactly_on_a_reference_fault(c):
     if _reference_fault(c):
         with pytest.raises(GraphError):
-            c.check()
+            ChainComplexF2.from_pairs(*c).check()
     else:
-        c.check()
+        ChainComplexF2.from_pairs(*c).check()
 
 
 @given(closed_complexes())
@@ -311,7 +302,7 @@ def test_check_raises_exactly_on_a_reference_fault(c):
 def test_homology_matches_dense_reference(c):
     assert not _reference_fault(c)
     want = _reference_homology(c)
-    got = homology(c)
+    got = homology(ChainComplexF2.from_pairs(*c))
     assert got.per_component == want
     assert got.total == sum(dim for dim, _, _, _ in want.values())
     assert got.by_grading == (

@@ -221,6 +221,19 @@ def test_runtime_does_not_import_numpy():
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)
 
 
+def test_census_script_ends_quietly_when_its_reader_closes_early():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loopfloer.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "census_intervals.py")
+    proc = subprocess.Popen([sys.executable, script, "--count", "3"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
+    proc.stdout.close()  # the reader is gone before the first line
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_benchmark_traced_names_exist():
     """Every (module, attribute) the benchmark's tracer wraps is still there:
     deleting one would pass the rest of this suite and crash only traced

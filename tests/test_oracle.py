@@ -17,7 +17,7 @@ from loopfloer import (
     to_type_a,
 )
 from loopfloer import oracle
-from loopfloer.algebra import DecoratedGraph, IDENT, GraphError, homology, reduce_graph
+from loopfloer.algebra import ChainComplexF2, DecoratedGraph, IDENT, GraphError, homology, reduce_graph
 from loopfloer.detection import stern_brocot_slopes
 from loopfloer.loops import graph_to_words, word_to_graph
 from loopfloer.oracle import (
@@ -31,7 +31,7 @@ from loopfloer.oracle import (
     pair_complex,
 )
 from loopfloer.twists import reparametrization_word
-from conftest import loops, small_slopes
+from conftest import _reference_homology, loops, small_slopes
 
 
 # -- references: the whole-string type A walk and a brute-force box tensor
@@ -479,4 +479,43 @@ def test_box_tensor_matches_brute_force(l1, l2):
     d = make_bounded(word_to_graph(l2.word))
     a = to_type_a(word_to_graph(l1.word), max_len=d.longest_path_edges())
     cpx = box_tensor(a, d, component=7)
-    assert (cpx.generators, cpx.differential) == _reference_box_tensor(a, d, component=7)
+    # the reference numbered by the same rule, so the whole of d is compared
+    assert cpx == ChainComplexF2.from_pairs(*_reference_box_tensor(a, d, component=7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_loops(6), oracle_loops(6))
+def test_flipping_one_bit_of_a_box_tensor_row_fails_the_check(l1, l2):
+    """Toggling target j in row i of a valid complex breaks the check when
+    j has the grading of i (the flip test), or when d of j is nonzero: d^2
+    of i then changes by d of j."""
+    d = make_bounded(word_to_graph(l2.word))
+    a = to_type_a(word_to_graph(l1.word), max_len=d.longest_path_edges())
+    ((rows, n0),) = box_tensor(a, d).components.values()
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            same = (i < n0) == (j < n0)
+            if not (same or rows[j]):
+                continue
+            bad = list(rows)
+            bad[i] ^= 1 << j
+            with pytest.raises(GraphError, match="flip" if same else "square"):
+                ChainComplexF2({0: (bad, n0)}).check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(oracle_loops(6), min_size=1, max_size=3),
+       st.lists(oracle_loops(6), min_size=1, max_size=3))
+def test_pairing_homology_matches_brute_force(loops1, loops2):
+    """The homology of a whole pairing, every component at once, against the
+    brute-force box tensor of every loop pair and dense ranks."""
+    generators, differential = [], set()
+    for i, l1 in enumerate(loops1):
+        for j, l2 in enumerate(loops2):
+            d = make_bounded(word_to_graph(l2.word))
+            a = _reference_type_a(word_to_graph(l1.word), d.longest_path_edges())
+            gens, diff = _reference_box_tensor(a, d, component=(i, j))
+            generators += [((i, j, gid), g, comp) for gid, g, comp in gens]
+            differential |= {((i, j, s), (i, j, t)) for s, t in diff}
+    got = homology(pair_complex(loops1, loops2)).per_component
+    assert got == _reference_homology((generators, differential))
